@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,8 +26,10 @@ from .corpus import (
     extend_corpus,
     generate_synthetic_corpus,
     read_extended_corpus,
+    read_meta,
     read_parallel_corpus,
     write_extended_corpus,
+    write_lines,
     write_parallel_corpus,
 )
 from .decode import (
@@ -85,13 +86,6 @@ def _out_dir(config: RunConfig) -> Path:
 
 def _read_lines(path) -> list[list[str]]:
     return [line.split() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-
-
-def _write_lines(path, token_lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tokens in token_lines:
-            fh.write(" ".join(tokens))
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,13 @@ def cmd_bpe_apply(args) -> int:
     threshold = args.vocab_threshold if args.vocab_threshold is not None else config.bpe.vocab_threshold
     lines = _read_lines(args.input)
     segmented = [apply_bpe_line(model, tokens, threshold) for tokens in lines]
-    _write_lines(args.output, segmented)
+    write_lines(args.output, (" ".join(tokens) for tokens in segmented))
+    manifest = start_manifest("bpe-apply", config)
+    manifest.add_input(args.model)
+    manifest.add_input(args.input)
+    manifest.add_output(args.output)
+    output = Path(args.output)
+    manifest.write(output.with_suffix(output.suffix + ".manifest.json"))
     print("bpe-apply: %d lines -> %s" % (len(segmented), args.output))
     return 0
 
@@ -253,41 +253,30 @@ def cmd_translate(args) -> int:
     beam = _beam_from_args(args, config)
     src_lines = _read_lines(args.source)
 
-    meta = []
     if args.meta and Path(args.meta).exists():
-        for line in Path(args.meta).read_text(encoding="utf-8").splitlines():
-            doc_id, idx, src_start, trg_start = line.split("\t")
-            meta.append((doc_id, int(idx), int(src_start)))
+        meta = read_meta(args.meta)
     else:
-        meta = [("", i, 0) for i in range(len(src_lines))]
+        meta = [("", i, 0, 0) for i in range(len(src_lines))]
     if len(meta) != len(src_lines):
         raise MalformedCorpusError("meta file does not align with source", path=args.meta)
 
     params = models[0]
     use_greedy = beam.beam_size == 1 and beam.length_norm_alpha == 0.0 and beam.coverage_beta == 0.0
-
-    def translate_one(i):
-        ids = params.src_vocab.encode(src_lines[i])
+    results = []
+    for tokens in src_lines:
+        ids = params.src_vocab.encode(tokens)
         if use_greedy:
-            result = greedy_decode(models, ids, beam.max_len(len(ids)))
+            results.append(greedy_decode(models, ids, beam.max_len(len(ids))))
         else:
-            result = beam_decode(models, ids, beam)
-        return result
-
-    indices = range(len(src_lines))
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(translate_one, indices))
-    else:
-        results = [translate_one(i) for i in indices]
+            results.append(beam_decode(models, ids, beam))
 
     out = _out_dir(config)
     trg_path = out / (args.prefix + ".trg")
     attn_path = out / (args.prefix + ".attn.jsonl")
-    _write_lines(trg_path, (r.target_tokens(params) for r in results))
+    write_lines(trg_path, (" ".join(r.target_tokens(params)) for r in results))
     exports = []
     for i, r in enumerate(results):
-        doc_id, idx, src_start = meta[i]
+        doc_id, idx, src_start, _ = meta[i]
         exports.append(
             AttentionExport(
                 index=i,
@@ -555,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--max-len-factor", dest="max_len_factor", type=float)
     p.add_argument("--max-len-constant", dest="max_len_constant", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("score", help="BLEU/chrF3 scoring")

@@ -80,7 +80,6 @@ def save_config(config: RunConfig, path):
     parser["context"] = _context_to_ini(config.context)
     parser["bpe"] = {
         "num_merges": str(config.bpe.num_merges),
-        "joint": str(config.bpe.joint),
         "vocab_threshold": str(config.bpe.vocab_threshold),
     }
     parser["model"] = {k: repr(v) if isinstance(v, float) else str(v) for k, v in asdict(config.hyper).items()}
@@ -129,7 +128,6 @@ def load_config(path, check_files: bool = False) -> RunConfig:
             ),
             bpe=BpeConfig(
                 num_merges=int(bpe.get("num_merges", "300")),
-                joint=bpe.get("joint", "False") == "True",
                 vocab_threshold=int(bpe.get("vocab_threshold", "0")),
             ),
             hyper=HyperParams(

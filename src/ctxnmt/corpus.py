@@ -246,9 +246,9 @@ def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]
 def write_parallel_corpus(units: Iterable[TranslationUnit], src_path, trg_path, docs_path):
     """Write an aligned corpus to its three files (UTF-8, LF endings)."""
     units = list(units)
-    _write_lines(src_path, (" ".join(u.source_tokens) for u in units))
-    _write_lines(trg_path, (" ".join(u.target_tokens) for u in units))
-    _write_lines(docs_path, (u.doc_id for u in units))
+    write_lines(src_path, (" ".join(u.source_tokens) for u in units))
+    write_lines(trg_path, (" ".join(u.target_tokens) for u in units))
+    write_lines(docs_path, (u.doc_id for u in units))
 
 
 def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_path, docs_path, meta_path=None):
@@ -259,11 +259,11 @@ def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_pat
     re-detecting markings.
     """
     examples = list(examples)
-    _write_lines(src_path, (" ".join(e.source_tokens) for e in examples))
-    _write_lines(trg_path, (" ".join(e.target_tokens) for e in examples))
-    _write_lines(docs_path, (e.origin[0] for e in examples))
+    write_lines(src_path, (" ".join(e.source_tokens) for e in examples))
+    write_lines(trg_path, (" ".join(e.target_tokens) for e in examples))
+    write_lines(docs_path, (e.origin[0] for e in examples))
     if meta_path is not None:
-        _write_lines(
+        write_lines(
             meta_path,
             (
                 "%s\t%d\t%d\t%d" % (e.origin[0], e.origin[1], e.source_focus_start, e.target_focus_start)
@@ -276,17 +276,15 @@ def read_extended_corpus(src_path, trg_path, docs_path, meta_path) -> list[Exten
     """Load extended examples written by write_extended_corpus."""
     src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
     trg_lines = Path(trg_path).read_text(encoding="utf-8").splitlines()
-    meta_lines = Path(meta_path).read_text(encoding="utf-8").splitlines()
-    if not (len(src_lines) == len(trg_lines) == len(meta_lines)):
+    meta_rows = read_meta(meta_path)
+    if not (len(src_lines) == len(trg_lines) == len(meta_rows)):
         raise MalformedCorpusError(
             "line counts differ between corpus and meta files", path=meta_path
         )
     examples = []
-    for lineno, (src, trg, meta) in enumerate(zip(src_lines, trg_lines, meta_lines), start=1):
-        parts = meta.split("\t")
-        if len(parts) != 4:
-            raise MalformedCorpusError("expected 4 meta columns", path=meta_path, line=lineno)
-        doc_id, idx, src_start, trg_start = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
+    for lineno, (src, trg, (doc_id, idx, src_start, trg_start)) in enumerate(
+        zip(src_lines, trg_lines, meta_rows), start=1
+    ):
         src_tokens = tuple(src.split())
         trg_tokens = tuple(trg.split())
         if src_start > len(src_tokens) or trg_start > len(trg_tokens):
@@ -303,7 +301,25 @@ def read_extended_corpus(src_path, trg_path, docs_path, meta_path) -> list[Exten
     return examples
 
 
-def _write_lines(path, lines: Iterable[str]):
+def read_meta(path) -> list[tuple[str, int, int, int]]:
+    """Parse a .meta file: per line, document id, index in the document, and
+    the source and target focus offsets, tab-separated."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise MalformedCorpusError("expected 4 meta columns", path=path, line=lineno)
+        try:
+            numbers = [int(x) for x in parts[1:]]
+        except ValueError:
+            raise MalformedCorpusError("non-integer meta field", path=path, line=lineno) from None
+        if min(numbers) < 0:
+            raise MalformedCorpusError("negative meta field", path=path, line=lineno)
+        rows.append((parts[0], *numbers))
+    return rows
+
+
+def write_lines(path, lines: Iterable[str]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line)

@@ -1,28 +1,32 @@
-"""Decoding: greedy and length-normalized beam search with attention capture,
-optional coverage penalty, savepoint ensembling, and last-segment extraction
-for two-sided context models.
+"""Decoding: length-normalized beam search with attention capture, optional
+coverage penalty, savepoint ensembling, and last-segment extraction for
+two-sided context models.  Greedy decoding is beam search with beam size 1
+and alpha = beta = 0.
 
-Ensembles average the per-step output probability distributions of their
-member checkpoints before taking the log; attention weights are averaged the
-same way.  Break tokens are ordinary vocabulary items: nothing constrains
-their generation.
+All live hypotheses of a sentence advance together as the rows of one
+batched decoder state.  Ensembles average the per-step output probability
+distributions of their member checkpoints before taking the log; attention
+weights are averaged the same way.  The reserved <pad> and <bos> ids are
+never emitted.  Break tokens are ordinary vocabulary items: nothing
+constrains their generation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import DEFAULT_BREAK_TOKEN
-from .errors import ConfigError, MalformedRecordError
+from .errors import ConfigError, MalformedRecordError, NumericError
 from .model import (
     AttentionRecord,
     BOS_ID,
     EOS_ID,
+    PAD_ID,
     DecoderState,
     ModelParams,
     decode_step,
@@ -53,20 +57,21 @@ class BeamConfig:
 
 @dataclass
 class Hypothesis:
-    """One beam entry: tokens so far with accumulated log-probability."""
+    """One beam entry: tokens so far with accumulated log-probability, its
+    row in the batched decoder state, and the running sum of its attention."""
 
     token_ids: list[int]
     log_prob: float
     attention_rows: list[np.ndarray]
     finished: bool
-    states: list[DecoderState]
+    row: int
+    coverage: np.ndarray
 
     def score(self, config: BeamConfig) -> float:
         length = max(1, len(self.token_ids))
         value = self.log_prob / (length ** config.length_norm_alpha)
         if config.coverage_beta > 0.0 and self.attention_rows:
-            coverage = np.sum(np.stack(self.attention_rows), axis=0)
-            value += config.coverage_beta * np.sum(np.log(np.minimum(coverage, 1.0)))
+            value += config.coverage_beta * np.sum(np.log(np.minimum(self.coverage, 1.0)))
         return value
 
 
@@ -90,20 +95,25 @@ def _make_record(models: Sequence[ModelParams], source_ids, token_ids, rows) -> 
     )
 
 
-def _ensemble_step(models, states, prev_id):
-    """Average member probabilities; returns (new_states, log_probs, attention)."""
+def _ensemble_step(models, states, prev_ids):
+    """Average member probabilities over K hypotheses; returns (new_states,
+    log_probs (K, V), attention (K, S)) with reserved ids at -inf."""
     new_states = []
     probs = None
     attn = None
     for params, state in zip(models, states):
-        state, log_p, a = decode_step(params, state, prev_id)
+        state, log_p, a = decode_step(params, state, prev_ids)
         new_states.append(state)
         p = np.exp(log_p)
         probs = p if probs is None else probs + p
         attn = a.astype(np.float64) if attn is None else attn + a
     probs /= len(models)
     attn /= len(models)
-    return new_states, np.log(np.maximum(probs, 1e-300)), attn
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite output probabilities while decoding")
+    log_probs = np.log(np.maximum(probs, 1e-300))
+    log_probs[:, (PAD_ID, BOS_ID)] = -np.inf
+    return new_states, log_probs, attn
 
 
 def _as_ensemble(params_or_ensemble) -> list[ModelParams]:
@@ -116,78 +126,53 @@ def _as_ensemble(params_or_ensemble) -> list[ModelParams]:
 
 
 def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
-    """Argmax decoding until EOS or max_len (truncation is flagged, not an error)."""
-    models = _as_ensemble(params_or_ensemble)
-    enc_states = [encode(m, source_ids) for m in models]
-    states = [init_decoder_state(m, e) for m, e in zip(models, enc_states)]
-    token_ids: list[int] = []
-    rows: list[np.ndarray] = []
-    log_prob = 0.0
-    prev = BOS_ID
-    truncated = False
-    for _ in range(max_len):
-        states, log_probs, attn = _ensemble_step(models, states, prev)
-        nxt = int(np.argmax(log_probs))
-        log_prob += float(log_probs[nxt])
-        if nxt == EOS_ID:
-            break
-        token_ids.append(nxt)
-        rows.append(attn)
-        prev = nxt
-    else:
-        truncated = max_len > 0
-    record = _make_record(models, source_ids, token_ids, rows)
-    return DecodeResult(target_ids=token_ids, record=record, truncated=truncated, log_prob=log_prob)
+    """Argmax decoding until EOS or max_len (truncation is flagged, not an
+    error): beam search with beam size 1 and alpha = beta = 0."""
+    config = BeamConfig(beam_size=1, length_norm_alpha=0.0, max_len_factor=0.0, max_len_constant=max_len)
+    return beam_decode(params_or_ensemble, source_ids, config)
 
 
 def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesis:
     """Standard length-normalized beam search over an ensemble.
 
-    With beam_size 1 and alpha = beta = 0 the output is token-identical to
-    greedy_decode.
+    Each step advances all live hypotheses as one batch.  Every live
+    hypothesis offers its top beam_size tokens; the finished hypotheses plus
+    these expansions are sorted stably by score and the best beam_size kept.
     """
     models = _as_ensemble(params_or_ensemble)
-    enc_states = [encode(m, source_ids) for m in models]
+    states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
     start = Hypothesis(
-        token_ids=[],
-        log_prob=0.0,
-        attention_rows=[],
-        finished=False,
-        states=[init_decoder_state(m, e) for m, e in zip(models, enc_states)],
+        token_ids=[], log_prob=0.0, attention_rows=[], finished=False, row=0, coverage=np.zeros(len(source_ids)),
     )
     beams = [start]
-    max_len = config.max_len(len(source_ids))
 
-    for _ in range(max_len):
-        if all(h.finished for h in beams):
+    for _ in range(config.max_len(len(source_ids))):
+        live = [h for h in beams if not h.finished]
+        if not live:
             break
+        rows = [h.row for h in live]
+        states = [DecoderState(st.h[rows], st.c[rows], st.encoder_states, st.enc_proj) for st in states]
+        prev_ids = np.array([h.token_ids[-1] if h.token_ids else BOS_ID for h in live])
+        states, log_probs, attn = _ensemble_step(models, states, prev_ids)
+        top = np.argsort(-log_probs, axis=1, kind="stable")[:, : config.beam_size]
         pool: list[Hypothesis] = [h for h in beams if h.finished]
-        for hyp in beams:
-            if hyp.finished:
-                continue
-            prev = hyp.token_ids[-1] if hyp.token_ids else BOS_ID
-            states, log_probs, attn = _ensemble_step(models, hyp.states, prev)
-            top = np.argsort(-log_probs, kind="stable")[: config.beam_size]
-            for token_id in top:
-                token_id = int(token_id)
+        for row, hyp in enumerate(live):
+            # siblings share these; no hypothesis mutates its lists or arrays
+            attention_rows = hyp.attention_rows + [attn[row]]
+            coverage = hyp.coverage + attn[row]
+            for token_id, step_log_prob in zip(top[row].tolist(), log_probs[row, top[row]].tolist()):
+                log_prob = hyp.log_prob + step_log_prob
                 if token_id == EOS_ID:
-                    pool.append(
-                        Hypothesis(
-                            token_ids=list(hyp.token_ids),
-                            log_prob=hyp.log_prob + float(log_probs[token_id]),
-                            attention_rows=list(hyp.attention_rows),
-                            finished=True,
-                            states=states,
-                        )
-                    )
+                    pool.append(replace(hyp, log_prob=log_prob, finished=True))
                 else:
                     pool.append(
                         Hypothesis(
                             token_ids=hyp.token_ids + [token_id],
-                            log_prob=hyp.log_prob + float(log_probs[token_id]),
-                            attention_rows=hyp.attention_rows + [attn],
+                            log_prob=log_prob,
+                            attention_rows=attention_rows,
                             finished=False,
-                            states=states,
+                            row=row,
+                            coverage=coverage,
                         )
                     )
         pool.sort(key=lambda h: -h.score(config))

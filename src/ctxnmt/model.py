@@ -201,18 +201,19 @@ def _sigmoid(x):
 
 
 def softmax(x):
-    shifted = x - np.max(x)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _lstm_step(Wx, Wh, b, x, h_prev, c_prev):
-    hdim = h_prev.shape[0]
+    """One LSTM step for a single state (H,) or a batch of states (K, H)."""
+    hdim = h_prev.shape[-1]
     z = x @ Wx + h_prev @ Wh + b
-    i = _sigmoid(z[:hdim])
-    f = _sigmoid(z[hdim : 2 * hdim])
-    g = np.tanh(z[2 * hdim : 3 * hdim])
-    o = _sigmoid(z[3 * hdim :])
+    i = _sigmoid(z[..., :hdim])
+    f = _sigmoid(z[..., hdim : 2 * hdim])
+    g = np.tanh(z[..., 2 * hdim : 3 * hdim])
+    o = _sigmoid(z[..., 3 * hdim :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -295,7 +296,7 @@ def _attend_cached(params: ModelParams, decoder_state, encoder_states, enc_proj=
     if enc_proj is None:
         enc_proj = encoder_states @ t["attn_W_enc"]
     q = decoder_state @ t["attn_W_dec"]
-    k = np.tanh(enc_proj + q)
+    k = np.tanh(enc_proj + q[..., None, :])
     scores = k @ t["attn_v"]
     a = softmax(scores)
     ctx = a @ encoder_states
@@ -311,17 +312,24 @@ def _init_decoder(params: ModelParams, encoder_states):
     return s0, c0, (hbar, s0)
 
 
-def _readout(params: ModelParams, dec_state, ctx):
+def _decoder_step(params: ModelParams, prev_ids, s, c, enc_states, enc_proj):
+    """LSTM, attention, readout and float64 log-softmax for one target
+    position, on one state (H,) or a batch (K, H); the cache is for _backward."""
     t = params.tensors
-    pre = dec_state @ t["readout_Ws"] + ctx @ t["readout_Wc"] + t["readout_b"]
-    r = np.tanh(pre)
-    logits = r @ t["out_W"] + t["out_b"]
-    return logits, r
+    x = t["trg_embed"][prev_ids]
+    s, c, lstm_cache = _lstm_step(t["dec_Wx"], t["dec_Wh"], t["dec_b"], x, s, c)
+    ctx, a, attn_cache = _attend_cached(params, s, enc_states, enc_proj)
+    r = np.tanh(s @ t["readout_Ws"] + ctx @ t["readout_Wc"] + t["readout_b"])
+    logits = (r @ t["out_W"] + t["out_b"]).astype(np.float64)
+    log_probs = logits - logits.max(axis=-1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
+    return s, c, log_probs, a, {"lstm": lstm_cache, "attn": attn_cache, "ctx": ctx, "r": r, "s": s}
 
 
 @dataclass
 class DecoderState:
-    """Incremental decoding state for one sentence."""
+    """Incremental decoding state of K hypotheses for one sentence: h and c
+    are (K, H), one row per hypothesis."""
 
     h: np.ndarray
     c: np.ndarray
@@ -331,20 +339,15 @@ class DecoderState:
 
 def init_decoder_state(params: ModelParams, encoder_states) -> DecoderState:
     s0, c0, _ = _init_decoder(params, encoder_states)
-    return DecoderState(h=s0, c=c0, encoder_states=encoder_states, enc_proj=encoder_states @ params.tensors["attn_W_enc"])
+    enc_proj = encoder_states @ params.tensors["attn_W_enc"]
+    return DecoderState(h=s0[None, :], c=c0[None, :], encoder_states=encoder_states, enc_proj=enc_proj)
 
 
-def decode_step(params: ModelParams, state: DecoderState, prev_token_id: int):
-    """Advance one step; returns (new_state, log_probs, attention_weights)."""
-    t = params.tensors
-    x = t["trg_embed"][int(prev_token_id)]
-    h, c, _ = _lstm_step(t["dec_Wx"], t["dec_Wh"], t["dec_b"], x, state.h, state.c)
-    ctx, a, _ = _attend_cached(params, h, state.encoder_states, state.enc_proj)
-    logits, _ = _readout(params, h, ctx)
-    logits64 = logits.astype(np.float64)
-    log_probs = logits64 - np.max(logits64)
-    log_probs -= np.log(np.exp(log_probs).sum())
-    return DecoderState(h=h, c=c, encoder_states=state.encoder_states, enc_proj=state.enc_proj), log_probs, a
+def decode_step(params: ModelParams, state: DecoderState, prev_ids):
+    """Advance every row one step, feeding prev_ids (K,); returns (new_state,
+    log_probs (K, V), attention_weights (K, S))."""
+    h, c, log_probs, a, _ = _decoder_step(params, prev_ids, state.h, state.c, state.encoder_states, state.enc_proj)
+    return DecoderState(h, c, state.encoder_states, state.enc_proj), log_probs, a
 
 
 def _forward(params: ModelParams, source_ids, target_ids):
@@ -366,17 +369,10 @@ def _forward(params: ModelParams, source_ids, target_ids):
     attn = np.zeros((T, enc_states.shape[0]), dtype=np.float64)
     loss = 0.0
     for step in range(T):
-        x = t["trg_embed"][dec_inputs[step]]
-        s, c, lstm_cache = _lstm_step(t["dec_Wx"], t["dec_Wh"], t["dec_b"], x, s, c)
-        ctx, a, attn_cache = _attend_cached(params, s, enc_states, enc_proj)
-        logits, r = _readout(params, s, ctx)
-        logits64 = logits.astype(np.float64)
-        shifted = logits64 - logits64.max()
-        log_z = np.log(np.exp(shifted).sum())
-        loss += log_z - shifted[predict[step]]
-        p = np.exp(shifted - log_z)
-        attn[step] = a
-        steps.append({"input_id": dec_inputs[step], "lstm": lstm_cache, "attn": attn_cache, "ctx": ctx, "r": r, "p": p, "s": s})
+        s, c, log_probs, attn[step], step_cache = _decoder_step(params, dec_inputs[step], s, c, enc_states, enc_proj)
+        loss -= log_probs[predict[step]]
+        step_cache.update(input_id=dec_inputs[step], p=np.exp(log_probs))
+        steps.append(step_cache)
     loss /= T
     if not np.isfinite(loss):
         raise NumericError("non-finite loss in forward pass")
@@ -694,27 +690,34 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path) -> ModelParams:
+    """A file that is not a complete checkpoint for its own header raises
+    ConfigError; non-finite weights raise NumericError."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
+    if len(raw) < 8 or raw[:4] != _MAGIC:
         raise ConfigError("not a checkpoint file: %s" % path)
     (header_len,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise ConfigError("unsupported checkpoint version in %s" % path)
-    hp = HyperParams(**header["hyperparams"])
-    src_vocab = Vocabulary(header["source_vocab"])
-    trg_vocab = Vocabulary(header["target_vocab"])
+    try:
+        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        if header["format_version"] != _FORMAT_VERSION:
+            raise ConfigError("unsupported checkpoint version in %s" % path)
+        hp = HyperParams(**header["hyperparams"])
+        src_vocab = Vocabulary(header["source_vocab"])
+        trg_vocab = Vocabulary(header["target_vocab"])
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers UTF-8 and JSON errors
+        raise ConfigError("malformed checkpoint header in %s: %r" % (path, exc)) from None
+    expected = dict(_tensor_specs(hp, len(src_vocab), len(trg_vocab)))
+    if len(specs) != len(expected) or dict(specs) != expected:
+        raise ConfigError("checkpoint tensors missing or mis-shaped in %s" % path)
     offset = 8 + header_len
+    size = offset + 4 * sum(int(np.prod(shape)) for _, shape in specs)
+    if len(raw) != size:
+        raise ConfigError("checkpoint %s has %d bytes, its header describes %d" % (path, len(raw), size))
     tensors = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-        tensors[spec["name"]] = data.astype(np.float32)
+    for name, shape in specs:
+        count = int(np.prod(shape))
+        tensors[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape).astype(np.float32)
         offset += count * 4
     params = ModelParams(hp, src_vocab, trg_vocab, tensors)
-    expected = dict(_tensor_specs(hp, len(src_vocab), len(trg_vocab)))
-    for name, shape in expected.items():
-        if name not in tensors or tensors[name].shape != shape:
-            raise ConfigError("checkpoint tensor %s missing or mis-shaped in %s" % (name, path))
+    params.validate_finite()
     return params

@@ -32,7 +32,6 @@ class BpeConfig:
     """Code size and application settings for one experiment."""
 
     num_merges: int = 300
-    joint: bool = False
     vocab_threshold: int = 0
 
     def __post_init__(self):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxnmt.cli import main
@@ -10,7 +11,7 @@ from ctxnmt.config import AnalysisConfig, RunConfig, load_config, save_config, s
 from ctxnmt.corpus import ContextConfig, Marking
 from ctxnmt.decode import BeamConfig
 from ctxnmt.errors import ConfigError
-from ctxnmt.model import HyperParams
+from ctxnmt.model import HyperParams, Vocabulary, init_params, save_checkpoint
 from ctxnmt.rng import substream
 from ctxnmt.subword import BpeConfig, load_bpe_model
 
@@ -26,7 +27,7 @@ class TestRunConfig:
             out_dir="outdir",
             rng_seed=99,
             context=ContextConfig(2, 2, Marking.BREAK, context_prefix="ctx_", break_token="_SEP_"),
-            bpe=BpeConfig(num_merges=123, joint=True, vocab_threshold=7),
+            bpe=BpeConfig(num_merges=123, vocab_threshold=7),
             hyper=HyperParams(embed_dim=10, hidden_dim=11, attention_dim=12, learning_rate=0.00125,
                               batch_size=3, epochs=9, rng_seed=5),
             beam=BeamConfig(beam_size=5, max_len_factor=2.5, max_len_constant=7,
@@ -119,6 +120,9 @@ class TestCli:
                      "--output", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+        manifest = json.loads((tmp_path / "seg.txt.manifest.json").read_text())
+        assert manifest["command"] == "bpe-apply"
+        assert len(manifest["input_checksums"]) == 2 and len(manifest["output_checksums"]) == 1
 
     def test_score_subcommand(self, tmp_path, capsys):
         code = main(["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
@@ -151,3 +155,65 @@ class TestCli:
         assert code == 0
         report = (tmp_path / "eval-pronoun.tsv").read_text()
         assert "he\t1\t0.0" in report  # one occurrence of class he, judged wrong
+
+
+class TestInputBoundaries:
+    """Malformed checkpoints and .meta files end with their documented exit codes."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        (tmp_path / "in.src").write_text("a b\nc\n")
+        (tmp_path / "in.trg").write_text("x y\nz\n")
+        (tmp_path / "in.docs").write_text("d\nd\n")
+        (tmp_path / "in.meta").write_text("d\t0\t0\t0\nd\t1\t0\t0\n")
+        vocab = Vocabulary.build([["a", "b", "c"]])
+        params = init_params(HyperParams(embed_dim=4, hidden_dim=5, attention_dim=3), vocab, vocab)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        return tmp_path, params
+
+    def translate(self, d, checkpoint, meta=None):
+        argv = ["translate", "--checkpoint", str(checkpoint), "--source", str(d / "in.src"), "--out", str(d / "out")]
+        return main(argv + (["--meta", str(meta)] if meta else []))
+
+    def test_valid_checkpoint_translates(self, corpus):
+        d, _ = corpus
+        assert self.translate(d, d / "model.ckpt", d / "in.meta") == 0
+        assert "<pad>" not in (d / "out" / "hyp.trg").read_text()
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "bad-utf8", "bad-json"])
+    def test_damaged_checkpoint_is_config_error(self, corpus, damage):
+        d, _ = corpus
+        raw = (d / "model.ckpt").read_bytes()
+        if damage == "truncated":
+            raw = raw[:-10]
+        elif damage == "trailing":
+            raw = raw + b"\0\0\0\0"
+        elif damage == "bad-utf8":
+            raw = raw[:8] + b"\xff" + raw[9:]
+        else:
+            raw = raw[:8] + b"[" + raw[9:]
+        (d / "bad.ckpt").write_bytes(raw)
+        assert self.translate(d, d / "bad.ckpt") == 2
+
+    def test_nan_checkpoint_is_numeric_error(self, corpus):
+        d, params = corpus
+        params.tensors["out_W"][0, 0] = np.nan
+        save_checkpoint(params, d / "nan.ckpt")
+        assert self.translate(d, d / "nan.ckpt") == 4
+        assert not (d / "out" / "hyp.trg").exists()
+
+    @pytest.mark.parametrize("meta", ["d\t0\t0\nd\t1\t0\t0\n", "d\t0\tx\t0\nd\t1\t0\t0\n", "d\t0\t0\t0\nd\t1\t-1\t0\n"])
+    def test_malformed_meta_is_data_error(self, corpus, meta):
+        d, _ = corpus
+        (d / "bad.meta").write_text(meta)
+        assert self.translate(d, d / "model.ckpt", d / "bad.meta") == 3
+        train = ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
+                 "--meta", str(d / "bad.meta"), "--out", str(d / "run"), "--epochs", "1"]
+        assert main(train) == 3
+
+    def test_translate_threads_flag_removed(self, corpus):
+        d, _ = corpus
+        with pytest.raises(SystemExit) as exc:
+            main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
+                  "--out", str(d / "out"), "--threads", "2"])
+        assert exc.value.code == 2

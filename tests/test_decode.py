@@ -17,8 +17,18 @@ from ctxnmt.decode import (
     read_attention_records,
     write_attention_records,
 )
-from ctxnmt.errors import ConfigError
-from ctxnmt.model import HyperParams, Vocabulary, init_params, train
+from ctxnmt.errors import ConfigError, NumericError
+from ctxnmt.model import (
+    BOS_ID,
+    PAD_ID,
+    HyperParams,
+    Vocabulary,
+    decode_step,
+    encode,
+    init_decoder_state,
+    init_params,
+    train,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +56,26 @@ def trained_copy_model():
     params = init_params(hp, vocab, vocab)
     train(params, examples, hp, savepoint_schedule=1)
     return params, vocab, units
+
+
+class TestDecodeStep:
+    def test_batched_rows_equal_single_row_calls(self, random_model):
+        params, src_vocab = random_model
+        state = init_decoder_state(params, encode(params, src_vocab.encode(["a", "b", "c", "d"])))
+        rng = np.random.default_rng(3)
+        k = 5
+        state.h = state.h[[0] * k] + rng.normal(0, 0.5, size=(k, state.h.shape[1])).astype(state.h.dtype)
+        state.c = state.c[[0] * k] + rng.normal(0, 0.5, size=(k, state.c.shape[1])).astype(state.c.dtype)
+        prev_ids = np.array([1, 4, 5, 4, 8])
+        batched, log_probs, attn = decode_step(params, state, prev_ids)
+        assert log_probs.shape == (k, len(params.trg_vocab)) and attn.shape == (k, 4)
+        for row in range(k):
+            single = init_decoder_state(params, state.encoder_states)
+            single.h, single.c = state.h[row : row + 1], state.c[row : row + 1]
+            new_single, lp, a = decode_step(params, single, prev_ids[row : row + 1])
+            assert np.allclose(lp[0], log_probs[row], rtol=0, atol=1e-6)
+            assert np.allclose(a[0], attn[row], rtol=0, atol=1e-6)
+            assert np.allclose(new_single.h[0], batched.h[row], rtol=0, atol=1e-6)
 
 
 class TestGreedy:
@@ -122,6 +152,31 @@ class TestBeam:
         params, src_vocab = random_model
         hyp = beam_search(params, src_vocab.encode(["a", "b"]), BeamConfig(beam_size=2))
         assert hyp.log_prob <= 0.0
+
+    def test_coverage_score_matches_stacked_attention(self, trained_copy_model):
+        params, vocab, units = trained_copy_model
+        config = BeamConfig(beam_size=4, length_norm_alpha=0.6, coverage_beta=0.3)
+        hyp = beam_search(params, vocab.encode(units[0].source_tokens), config)
+        assert hyp.attention_rows
+        coverage = np.sum(np.stack(hyp.attention_rows), axis=0)
+        expected = hyp.log_prob / len(hyp.token_ids) ** 0.6 + 0.3 * np.sum(np.log(np.minimum(coverage, 1.0)))
+        assert hyp.score(config) == pytest.approx(expected, abs=1e-9)
+
+    def test_reserved_ids_never_emitted(self, random_model):
+        params, src_vocab = random_model
+        biased = params.copy()
+        biased.tensors["out_b"][[PAD_ID, BOS_ID]] = 50.0
+        ids = src_vocab.encode(["a", "b", "c"])
+        for result in (greedy_decode(biased, ids, max_len=10), beam_decode(biased, ids, BeamConfig(beam_size=3))):
+            assert result.target_ids
+            assert PAD_ID not in result.target_ids and BOS_ID not in result.target_ids
+
+    def test_non_finite_probabilities_raise(self, random_model):
+        params, src_vocab = random_model
+        broken = params.copy()
+        broken.tensors["out_W"][0, 5] = np.nan
+        with pytest.raises(NumericError):
+            greedy_decode(broken, src_vocab.encode(["a", "b"]), max_len=5)
 
     def test_coverage_penalty_changes_score_not_validity(self, trained_copy_model):
         params, vocab, units = trained_copy_model
