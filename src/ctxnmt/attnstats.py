@@ -27,106 +27,56 @@ MODEL_TWO_SIDED = "2+2"  # external = source positions of other segments
 
 @dataclass
 class PartitionedAttention:
-    """Attention of one output token split into position classes."""
+    """Attention masses and peaks of one output token by position class."""
 
     word: str
     position: int  # 1-based position within its output segment
-    external: list[tuple[int, float]]
-    internal: list[tuple[int, float]]
-    breaks: list[tuple[int, float]]
-
-    @property
-    def external_mass(self) -> float:
-        return sum(w for _, w in self.external)
-
-    @property
-    def internal_mass(self) -> float:
-        return sum(w for _, w in self.internal)
-
-    @property
-    def break_mass(self) -> float:
-        return sum(w for _, w in self.breaks)
-
-    @property
-    def external_peak(self) -> float:
-        return max((w for _, w in self.external), default=0.0)
-
-    @property
-    def internal_peak(self) -> float:
-        return max((w for _, w in self.internal), default=0.0)
+    external_mass: float
+    internal_mass: float
+    break_mass: float
+    external_peak: float  # 0.0 when the class has no source position
+    internal_peak: float
 
 
 def partition(export: AttentionExport, model_kind: str) -> list[PartitionedAttention]:
     """Split every output token's attention row into external/internal/break.
 
-    One-sided models: external = positions before the source focus.
+    One-sided models: internal = positions from the source focus on.
     Two-sided models: segments are delimited by break tokens on both sides
     and aligned by index; output break tokens themselves are skipped.
+    Source break columns count in neither class, for both kinds.
     """
     export.validate()
-    out: list[PartitionedAttention] = []
+    weights = export.weights
+    src_break = np.array([tok == export.break_token for tok in export.source_tokens], dtype=bool)
+    trg_break = np.array([tok == export.break_token for tok in export.target_tokens], dtype=bool)
+    trg_segment = np.cumsum(trg_break) - trg_break  # a target break closes its segment
     if model_kind == MODEL_ONE_SIDED:
-        split = export.source_focus_start
-        for t, token in enumerate(export.target_tokens):
-            row = export.weights[t]
-            external = [(s, float(row[s])) for s in range(split)]
-            internal = [(s, float(row[s])) for s in range(split, len(row))]
-            out.append(
-                PartitionedAttention(
-                    word=token.lower(),
-                    position=t + 1,
-                    external=external,
-                    internal=internal,
-                    breaks=[],
-                )
-            )
-        return out
-
-    if model_kind != MODEL_TWO_SIDED:
+        internal = (np.arange(len(src_break)) >= export.source_focus_start)[None, :]
+        skipped = np.zeros_like(trg_break)
+    elif model_kind == MODEL_TWO_SIDED:
+        internal = trg_segment[:, None] == np.cumsum(src_break)[None, :]
+        skipped = trg_break
+    else:
         raise MalformedRecordError("unknown model kind %r" % model_kind)
+    internal = internal & ~src_break
+    external = ~internal & ~src_break
 
-    break_tok = export.break_token
-    src_segment = []
-    seg = 0
-    break_positions = set()
-    for s, token in enumerate(export.source_tokens):
-        if token == break_tok:
-            break_positions.add(s)
-            seg += 1
-            src_segment.append(-1)
-        else:
-            src_segment.append(seg)
+    position = np.arange(len(trg_break)) + 1 - np.searchsorted(trg_segment, trg_segment)
+    ext_mass, ext_peak = _masked_rows(weights, external)
+    int_mass, int_peak = _masked_rows(weights, internal)
+    break_mass = np.where(src_break, weights, 0.0).sum(axis=1)
+    columns = (position, ext_mass, int_mass, break_mass, ext_peak, int_peak)
+    rows = zip(export.target_tokens, skipped.tolist(), *(c.tolist() for c in columns))
+    return [PartitionedAttention(token.lower(), *values) for token, skip, *values in rows if not skip]
 
-    target_segment = 0
-    position_in_segment = 0
-    for t, token in enumerate(export.target_tokens):
-        if token == break_tok:
-            target_segment += 1
-            position_in_segment = 0
-            continue
-        position_in_segment += 1
-        row = export.weights[t]
-        external = []
-        internal = []
-        breaks = []
-        for s in range(len(row)):
-            w = float(row[s])
-            if s in break_positions:
-                breaks.append((s, w))
-            elif src_segment[s] == target_segment:
-                internal.append((s, w))
-            else:
-                external.append((s, w))
-        out.append(
-            PartitionedAttention(
-                word=token.lower(),
-                position=position_in_segment,
-                external=external,
-                internal=internal,
-                breaks=breaks,
-            )
-        )
-    return out
+
+def _masked_rows(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and row maxima over the masked cells; the maximum of a row
+    without masked cells is 0.0."""
+    total = np.where(mask, weights, 0.0).sum(axis=1)
+    peak = np.where(mask, weights, -np.inf).max(axis=1, initial=-np.inf)
+    return total, np.where(mask.any(axis=1), peak, 0.0)
 
 
 @dataclass
@@ -158,13 +108,16 @@ def _proportion(external: float, internal: float) -> float:
     return 100.0 * external / total if total > 0 else 0.0
 
 
-def _aggregate(partitions, min_freq, ext_of, int_of) -> RankedStats:
+def _by_word(partitions: Sequence[PartitionedAttention]) -> dict[str, list[PartitionedAttention]]:
     by_word: dict[str, list[PartitionedAttention]] = {}
     for p in partitions:
         by_word.setdefault(p.word, []).append(p)
+    return by_word
 
+
+def _aggregate(partitions, min_freq, ext_of, int_of) -> RankedStats:
     rows = []
-    for word, occs in by_word.items():
+    for word, occs in _by_word(partitions).items():
         if len(occs) < min_freq:
             continue
         ext = float(np.mean([ext_of(o) for o in occs]))
@@ -219,11 +172,8 @@ def majority_peak_stats(
     total masses); words with fewer than min_cases qualifying occurrences are
     discarded; proportion = qualifying / total occurrences of the word.
     """
-    by_word: dict[str, list[PartitionedAttention]] = {}
-    for p in partitions:
-        by_word.setdefault(p.word, []).append(p)
     rows = []
-    for word, occs in by_word.items():
+    for word, occs in _by_word(partitions).items():
         if use_mass:
             wins = sum(1 for o in occs if o.external_mass > o.internal_mass)
         else:

@@ -28,6 +28,7 @@ from .corpus import (
     read_extended_corpus,
     read_meta,
     read_parallel_corpus,
+    read_text,
     write_extended_corpus,
     write_lines,
     write_parallel_corpus,
@@ -85,7 +86,7 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _read_lines(path) -> list[list[str]]:
-    return [line.split() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    return [line.split() for line in read_text(path).splitlines()]
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +165,13 @@ def cmd_bpe_apply(args) -> int:
     threshold = args.vocab_threshold if args.vocab_threshold is not None else config.bpe.vocab_threshold
     lines = _read_lines(args.input)
     segmented = [apply_bpe_line(model, tokens, threshold) for tokens in lines]
-    write_lines(args.output, (" ".join(tokens) for tokens in segmented))
+    output = Path(args.output)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    write_lines(output, (" ".join(tokens) for tokens in segmented))
     manifest = start_manifest("bpe-apply", config)
     manifest.add_input(args.model)
     manifest.add_input(args.input)
     manifest.add_output(args.output)
-    output = Path(args.output)
     manifest.write(output.with_suffix(output.suffix + ".manifest.json"))
     print("bpe-apply: %d lines -> %s" % (len(segmented), args.output))
     return 0
@@ -250,6 +252,10 @@ def cmd_translate(args) -> int:
     models = [load_checkpoint(p) for p in args.checkpoint]
     if not models:
         raise ConfigError("at least one --checkpoint is required")
+    vocabs = [(m.src_vocab.tokens, m.trg_vocab.tokens) for m in models]
+    for path, vocab in zip(args.checkpoint[1:], vocabs[1:]):
+        if vocab != vocabs[0]:  # members' output distributions are averaged id by id
+            raise ConfigError("ensemble member %s has other vocabularies than %s" % (path, args.checkpoint[0]))
     beam = _beam_from_args(args, config)
     src_lines = _read_lines(args.source)
 
@@ -312,7 +318,7 @@ def cmd_score(args) -> int:
     if args.regime == "extended":
         if not args.docs:
             raise ConfigError("--docs is required for the extended scoring regime")
-        doc_ids = [line.strip() for line in Path(args.docs).read_text(encoding="utf-8").splitlines()]
+        doc_ids = [line.strip() for line in read_text(args.docs).splitlines()]
         b, c = metrics.score_extended(hyp, ref, doc_ids, window=args.window, break_token=config.context.break_token)
     else:
         b, c = metrics.bleu(hyp, ref), metrics.chrf(hyp, ref)

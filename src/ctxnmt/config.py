@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import ContextConfig, Marking, SynthSpec
+from .corpus import ContextConfig, Marking, SynthSpec, read_text
 from .decode import BeamConfig
 from .errors import ConfigError
 from .model import HyperParams
@@ -100,10 +100,9 @@ def save_config(config: RunConfig, path):
 
 def load_config(path, check_files: bool = False) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError("cannot read config file: %s" % path)
+    text = read_text(path, ConfigError)
     try:
+        parser.read_string(text, source=str(path))
         paths = parser["paths"] if "paths" in parser else {}
         run = parser["run"] if "run" in parser else {}
         ctx = parser["context"] if "context" in parser else {}
@@ -160,7 +159,7 @@ def load_config(path, check_files: bool = False) -> RunConfig:
                 rng_seed=int(run.get("rng_seed", "0")),
             ),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
 
     if check_files:

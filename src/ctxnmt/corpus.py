@@ -206,11 +206,26 @@ def extract_focus(example: ExtendedExample, side: str = "source") -> list[str]:
 # .docs (one doc_id per line, aligned 1:1).
 # ---------------------------------------------------------------------------
 
+def read_text(path, error=MalformedCorpusError) -> str:
+    """Contents of a UTF-8 input file.  A file that cannot be read or is not
+    valid UTF-8 raises `error` naming the path (and the line of the first
+    bad byte)."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise error("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error("invalid UTF-8 at %s:%d" % (path, line)) from None
+
+
 def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]:
     """Load an aligned corpus from its three files."""
-    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
-    trg_lines = Path(trg_path).read_text(encoding="utf-8").splitlines()
-    doc_lines = Path(docs_path).read_text(encoding="utf-8").splitlines()
+    src_lines = read_text(src_path).splitlines()
+    trg_lines = read_text(trg_path).splitlines()
+    doc_lines = read_text(docs_path).splitlines()
     if not (len(src_lines) == len(trg_lines) == len(doc_lines)):
         raise MalformedCorpusError(
             "line counts differ: %d source, %d target, %d docs"
@@ -274,8 +289,8 @@ def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_pat
 
 def read_extended_corpus(src_path, trg_path, docs_path, meta_path) -> list[ExtendedExample]:
     """Load extended examples written by write_extended_corpus."""
-    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
-    trg_lines = Path(trg_path).read_text(encoding="utf-8").splitlines()
+    src_lines = read_text(src_path).splitlines()
+    trg_lines = read_text(trg_path).splitlines()
     meta_rows = read_meta(meta_path)
     if not (len(src_lines) == len(trg_lines) == len(meta_rows)):
         raise MalformedCorpusError(
@@ -305,7 +320,7 @@ def read_meta(path) -> list[tuple[str, int, int, int]]:
     """Parse a .meta file: per line, document id, index in the document, and
     the source and target focus offsets, tab-separated."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         parts = line.split("\t")
         if len(parts) != 4:
             raise MalformedCorpusError("expected 4 meta columns", path=path, line=lineno)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_BREAK_TOKEN
+from .corpus import DEFAULT_BREAK_TOKEN, read_text
 from .errors import ConfigError, MalformedRecordError, NumericError
 from .model import (
     AttentionRecord,
@@ -267,26 +266,33 @@ def write_attention_records(path, exports: Sequence[AttentionExport]):
 
 
 def read_attention_records(path) -> list[AttentionExport]:
+    """Records of a JSONL attention file; any line that is not a complete,
+    consistent record raises MalformedRecordError naming path:line."""
     exports = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, MalformedRecordError).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError("bad attention record at %s:%d: %s" % (path, lineno, exc))
-        export = AttentionExport(
-            index=obj["index"],
-            doc_id=obj.get("doc_id", ""),
-            index_in_doc=obj.get("index_in_doc", 0),
-            source_tokens=list(obj["source_tokens"]),
-            target_tokens=list(obj["target_tokens"]),
-            weights=np.array(obj["weights"], dtype=np.float64).reshape(
-                len(obj["target_tokens"]), len(obj["source_tokens"])
-            ),
-            source_focus_start=obj.get("source_focus_start", 0),
-            break_token=obj.get("break_token", DEFAULT_BREAK_TOKEN),
-        )
-        export.validate()
+            source_tokens = list(obj["source_tokens"])
+            target_tokens = list(obj["target_tokens"])
+            if not all(isinstance(tok, str) for tok in source_tokens + target_tokens):
+                raise MalformedRecordError("tokens must be strings")
+            weights = np.array(obj["weights"], dtype=np.float64).reshape(len(target_tokens), len(source_tokens))
+            if not np.isfinite(weights).all():
+                raise MalformedRecordError("non-finite attention weight")
+            export = AttentionExport(
+                index=obj["index"],
+                doc_id=obj.get("doc_id", ""),
+                index_in_doc=obj.get("index_in_doc", 0),
+                source_tokens=source_tokens,
+                target_tokens=target_tokens,
+                weights=weights,
+                source_focus_start=obj.get("source_focus_start", 0),
+                break_token=obj.get("break_token", DEFAULT_BREAK_TOKEN),
+            )
+            export.validate()
+        except (ValueError, KeyError, TypeError, MalformedRecordError) as exc:  # ValueError covers JSON errors
+            raise MalformedRecordError("bad attention record at %s:%d: %s" % (path, lineno, exc)) from None
         exports.append(export)
     return exports

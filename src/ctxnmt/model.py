@@ -692,7 +692,10 @@ def save_checkpoint(params: ModelParams, path):
 def load_checkpoint(path) -> ModelParams:
     """A file that is not a complete checkpoint for its own header raises
     ConfigError; non-finite weights raise NumericError."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError("cannot read checkpoint %s: %s" % (path, exc.strerror or exc)) from None
     if len(raw) < 8 or raw[:4] != _MAGIC:
         raise ConfigError("not a checkpoint file: %s" % path)
     (header_len,) = struct.unpack("<I", raw[4:8])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX
+from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, read_text
 from .errors import ConfigError, MalformedSegmentationError
 
 DEFAULT_EOW_MARKER = "</w>"
@@ -288,24 +288,27 @@ def save_bpe_model(model: BpeModel, path):
 
 
 def load_bpe_model(path) -> BpeModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """A file that does not follow the model format raises
+    MalformedSegmentationError."""
+    lines = read_text(path, MalformedSegmentationError).splitlines()
     if not lines:
         raise MalformedSegmentationError("empty model file: %s" % path)
     header = lines[0].split("\t")
     if header[0] != _FORMAT_VERSION or len(header) != 5:
         raise MalformedSegmentationError("unrecognized model header in %s" % path)
-    eow = header[1].split("=", 1)[1]
-    join = header[2].split("=", 1)[1]
-    n_merges = int(header[3].split("=", 1)[1])
-    n_vocab = int(header[4].split("=", 1)[1])
-    if len(lines) != 1 + n_merges + n_vocab:
-        raise MalformedSegmentationError("truncated model file: %s" % path)
-    merges = []
-    for line in lines[1 : 1 + n_merges]:
-        left, right = line.split(" ")
-        merges.append((left, right))
-    vocab = {}
-    for line in lines[1 + n_merges :]:
-        sw, count = line.rsplit("\t", 1)
-        vocab[sw] = int(count)
+    try:
+        fields = dict(item.split("=", 1) for item in header[1:])
+        eow, join = fields["eow"], fields["join"]
+        n_merges, n_vocab = int(fields["merges"]), int(fields["vocab"])
+        if not eow or not join or min(n_merges, n_vocab) < 0 or len(lines) != 1 + n_merges + n_vocab:
+            raise ValueError("header does not describe the file")
+        merges = [tuple(line.split(" ")) for line in lines[1 : 1 + n_merges]]
+        if any(len(pair) != 2 for pair in merges):
+            raise ValueError("merge line is not two symbols separated by one space")
+        vocab = {}
+        for line in lines[1 + n_merges :]:
+            sw, count = line.rsplit("\t", 1)
+            vocab[sw] = int(count)
+    except (ValueError, KeyError) as exc:
+        raise MalformedSegmentationError("malformed model file %s: %s" % (path, exc)) from None
     return BpeModel(merges=tuple(merges), subword_vocab=vocab, eow_marker=eow, join_marker=join)

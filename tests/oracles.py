@@ -6,6 +6,7 @@ implementations is meaningful.
 """
 
 import math
+from types import SimpleNamespace
 
 
 def _ngrams_list(seq, n):
@@ -91,6 +92,55 @@ def oracle_chi_square(a, b, c, d):
             expected = row[i] * col[j] / n
             stat += (observed[i][j] - expected) ** 2 / expected
     return stat
+
+
+def oracle_partition(export, kind):
+    """Classify every attention cell one at a time into the (position,
+    weight) lists `.external` and `.internal`.
+
+    Source break columns belong to neither list, for both kinds.  "2+1":
+    internal = positions from the source focus on, external = the rest.
+    "2+2": segments are delimited by break tokens and aligned by index;
+    output break tokens are skipped.  Positions restart after every output
+    break.
+    """
+    if kind not in ("2+1", "2+2"):
+        raise ValueError("unknown model kind %r" % kind)
+    brk = export.break_token
+    src_segment = []
+    seg = 0
+    for token in export.source_tokens:
+        if token == brk:
+            seg += 1
+            src_segment.append(None)
+        else:
+            src_segment.append(seg)
+
+    out = []
+    target_segment = 0
+    position = 0
+    for t, token in enumerate(export.target_tokens):
+        if token == brk and kind == "2+2":
+            target_segment += 1
+            position = 0
+            continue
+        position += 1
+        external = []
+        internal = []
+        for s in range(len(export.source_tokens)):
+            w = float(export.weights[t][s])
+            if src_segment[s] is None:
+                continue
+            if kind == "2+1" and s >= export.source_focus_start:
+                internal.append((s, w))
+            elif kind == "2+2" and src_segment[s] == target_segment:
+                internal.append((s, w))
+            else:
+                external.append((s, w))
+        out.append(SimpleNamespace(word=token.lower(), position=position, external=external, internal=internal))
+        if token == brk:
+            position = 0
+    return out
 
 
 def oracle_word_mass_stats(partitions, min_freq=5):

@@ -57,6 +57,7 @@ from oracles import (
     oracle_chrf,
     oracle_corpus_external_proportion,
     oracle_majority_peak_stats,
+    oracle_partition,
     oracle_word_mass_stats,
     oracle_word_peak_stats,
 )
@@ -186,6 +187,7 @@ def test_criterion_06_attention_statistics_oracle():
     rng = np.random.default_rng(31)
     words = ["yeah", "oh", "yes", ".", "?", "no", "what", "-", "here", "good"]
     partitions = []
+    oracle_parts = []
     for idx in range(1000):
         n_src = rng.integers(2, 9)
         n_trg = rng.integers(1, 8)
@@ -198,9 +200,10 @@ def test_criterion_06_attention_statistics_oracle():
             source_focus_start=0,
         )
         partitions.extend(partition(export, MODEL_TWO_SIDED))
+        oracle_parts.extend(oracle_partition(export, MODEL_TWO_SIDED))
 
     mass = word_mass_stats(partitions, min_freq=5)
-    expected_mass = oracle_word_mass_stats(partitions, min_freq=5)
+    expected_mass = oracle_word_mass_stats(oracle_parts, min_freq=5)
     assert {r.word for r in mass.rows} == set(expected_mass)
     for row in mass.rows:
         freq, ext, internal, prop, pos = expected_mass[row.word]
@@ -211,7 +214,7 @@ def test_criterion_06_attention_statistics_oracle():
         assert abs(row.mean_position - pos) < 1e-12
 
     peaks = word_peak_stats(partitions, min_freq=5)
-    expected_peaks = oracle_word_peak_stats(partitions, min_freq=5)
+    expected_peaks = oracle_word_peak_stats(oracle_parts, min_freq=5)
     assert {r.word for r in peaks.rows} == set(expected_peaks)
     for row in peaks.rows:
         freq, ext, internal, prop, pos = expected_peaks[row.word]
@@ -220,7 +223,7 @@ def test_criterion_06_attention_statistics_oracle():
         assert abs(row.proportion - prop) < 1e-12
 
     majority = majority_peak_stats(partitions, min_cases=5)
-    expected_major = oracle_majority_peak_stats(partitions, min_cases=5)
+    expected_major = oracle_majority_peak_stats(oracle_parts, min_cases=5)
     assert {r.word for r in majority} == set(expected_major)
     for row in majority:
         wins, freq, prop = expected_major[row.word]
@@ -228,7 +231,7 @@ def test_criterion_06_attention_statistics_oracle():
         assert row.freq_ext_peak >= 5
         assert abs(row.proportion - prop) < 1e-12
 
-    assert abs(corpus_external_proportion(partitions) - oracle_corpus_external_proportion(partitions)) < 1e-12
+    assert abs(corpus_external_proportion(partitions) - oracle_corpus_external_proportion(oracle_parts)) < 1e-12
     report(6, "mass/peak/majority/corpus statistics equal brute force on 1000 random records; filters enforced")
 
 

@@ -7,7 +7,6 @@ import pytest
 from ctxnmt.attnstats import (
     MODEL_ONE_SIDED,
     MODEL_TWO_SIDED,
-    PartitionedAttention,
     corpus_external_proportion,
     format_majority_table,
     format_stats_table,
@@ -24,6 +23,7 @@ from ctxnmt.errors import MalformedRecordError
 from oracles import (
     oracle_corpus_external_proportion,
     oracle_majority_peak_stats,
+    oracle_partition,
     oracle_word_mass_stats,
     oracle_word_peak_stats,
 )
@@ -50,7 +50,7 @@ class TestPartitionOneSided:
         assert len(parts) == 1
         assert parts[0].external_mass == pytest.approx(0.7)
         assert parts[0].internal_mass == pytest.approx(0.3)
-        assert parts[0].breaks == []
+        assert parts[0].break_mass == 0.0
 
     def test_no_context(self):
         export = export_one_sided([[0.5, 0.5]], focus_start=0)
@@ -62,6 +62,18 @@ class TestPartitionOneSided:
         export = export_one_sided([[1.0], [1.0]], focus_start=0)
         parts = partition(export, MODEL_ONE_SIDED)
         assert [p.position for p in parts] == [1, 2]
+
+    def test_break_column_counts_in_neither_side(self):
+        export = export_one_sided([[0.2, 0.5, 0.3]], focus_start=2, source=["a", "_BREAK_", "b"])
+        (part,) = partition(export, MODEL_ONE_SIDED)
+        assert part.external_mass == pytest.approx(0.2)
+        assert part.internal_mass == pytest.approx(0.3)
+        assert part.break_mass == pytest.approx(0.5)
+        assert (part.external_peak, part.internal_peak) == (pytest.approx(0.2), pytest.approx(0.3))
+
+    def test_unknown_model_kind(self):
+        with pytest.raises(MalformedRecordError):
+            partition(export_one_sided([[1.0]], focus_start=0), "3+3")
 
     def test_bad_geometry(self):
         export = export_one_sided([[1.0]], focus_start=5)
@@ -113,14 +125,12 @@ class TestPartitionTwoSided:
                 assert p.external_mass + p.internal_mass + p.break_mass == pytest.approx(1.0, abs=1e-6)
 
 
-def mk_part(word, ext, internal, position=1):
-    return PartitionedAttention(
-        word=word,
-        position=position,
-        external=[(i, w) for i, w in enumerate(ext)],
-        internal=[(len(ext) + i, w) for i, w in enumerate(internal)],
-        breaks=[],
-    )
+def mk_part(word, ext, internal):
+    """One occurrence of `word`: a one-token one-sided record whose context
+    positions carry `ext` and whose focus positions carry `internal`."""
+    export = export_one_sided([list(ext) + list(internal)], focus_start=len(ext), target=[word])
+    (part,) = partition(export, MODEL_ONE_SIDED)
+    return part
 
 
 class TestMassStats:
@@ -213,36 +223,53 @@ class TestCorpusProportion:
         assert corpus_external_proportion([mk_part("w", [], [1.0])]) == 0.0
 
 
-def random_partitions(n_records=80, seed=0):
-    """Random two-sided records partitioned into occurrences."""
+def random_exports(n_records, seed, kind=MODEL_TWO_SIDED):
+    """Random records with break tokens on both sides; one-sided records
+    also get a random focus, so breaks fall into the context too."""
     rng = np.random.default_rng(seed)
     words = ["yeah", "oh", "yes", ".", "?", "no", "what", "-"]
-    parts = []
+    exports = []
     for idx in range(n_records):
         n_src = rng.integers(2, 8)
         n_trg = rng.integers(1, 7)
         src = ["_BREAK_" if rng.random() < 0.2 else "s%d" % rng.integers(4) for _ in range(n_src)]
         trg = ["_BREAK_" if rng.random() < 0.15 else words[rng.integers(len(words))] for _ in range(n_trg)]
         weights = rng.dirichlet(np.ones(n_src), size=n_trg)
-        export = AttentionExport(
-            index=idx,
-            doc_id="d",
-            index_in_doc=idx,
-            source_tokens=src,
-            target_tokens=trg,
-            weights=weights,
-            source_focus_start=0,
+        focus = int(rng.integers(0, n_src + 1)) if kind == MODEL_ONE_SIDED else 0
+        exports.append(
+            AttentionExport(
+                index=idx,
+                doc_id="d",
+                index_in_doc=idx,
+                source_tokens=src,
+                target_tokens=trg,
+                weights=weights,
+                source_focus_start=focus,
+            )
         )
-        parts.extend(partition(export, MODEL_TWO_SIDED))
-    return parts
+    return exports
+
+
+def random_partitions(n_records=80, seed=0):
+    """Random two-sided records partitioned into occurrences."""
+    return [p for e in random_exports(n_records, seed) for p in partition(e, MODEL_TWO_SIDED)]
 
 
 class TestOracleEquivalence:
     def test_all_aggregations_match_bruteforce(self):
-        parts = random_partitions(n_records=120, seed=7)
+        self.check_against_oracle(MODEL_TWO_SIDED)
+
+    def test_one_sided_with_context_breaks_matches_bruteforce(self):
+        self.check_against_oracle(MODEL_ONE_SIDED)
+
+    def check_against_oracle(self, kind):
+        exports = random_exports(n_records=120, seed=7, kind=kind)
+        parts = [p for e in exports for p in partition(e, kind)]
+        oracle_parts = [p for e in exports for p in oracle_partition(e, kind)]
+        assert len(parts) == len(oracle_parts)
 
         mass = word_mass_stats(parts, min_freq=5)
-        expected = oracle_word_mass_stats(parts, min_freq=5)
+        expected = oracle_word_mass_stats(oracle_parts, min_freq=5)
         assert {r.word for r in mass.rows} == set(expected)
         for row in mass.rows:
             freq, ext, internal, prop, pos = expected[row.word]
@@ -253,7 +280,7 @@ class TestOracleEquivalence:
             assert row.mean_position == pytest.approx(pos, abs=1e-12)
 
         peak = word_peak_stats(parts, min_freq=5)
-        expected = oracle_word_peak_stats(parts, min_freq=5)
+        expected = oracle_word_peak_stats(oracle_parts, min_freq=5)
         assert {r.word for r in peak.rows} == set(expected)
         for row in peak.rows:
             freq, ext, internal, prop, pos = expected[row.word]
@@ -262,7 +289,7 @@ class TestOracleEquivalence:
             assert row.proportion == pytest.approx(prop, abs=1e-12)
 
         majority = majority_peak_stats(parts, min_cases=5)
-        expected = oracle_majority_peak_stats(parts, min_cases=5)
+        expected = oracle_majority_peak_stats(oracle_parts, min_cases=5)
         assert {r.word for r in majority} == set(expected)
         for row in majority:
             wins, freq, prop = expected[row.word]
@@ -270,7 +297,7 @@ class TestOracleEquivalence:
             assert row.proportion == pytest.approx(prop, abs=1e-12)
 
         assert corpus_external_proportion(parts) == pytest.approx(
-            oracle_corpus_external_proportion(parts), abs=1e-12
+            oracle_corpus_external_proportion(oracle_parts), abs=1e-12
         )
 
     def test_filters_enforced(self):

@@ -1,10 +1,13 @@
 """Config round-trip, manifest, and CLI subcommand tests."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxnmt.cli import main
 from ctxnmt.config import AnalysisConfig, RunConfig, load_config, save_config, start_manifest
@@ -180,10 +183,13 @@ class TestInputBoundaries:
         assert self.translate(d, d / "model.ckpt", d / "in.meta") == 0
         assert "<pad>" not in (d / "out" / "hyp.trg").read_text()
 
-    @pytest.mark.parametrize("damage", ["truncated", "trailing", "bad-utf8", "bad-json"])
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "bad-utf8", "bad-json", "missing"])
     def test_damaged_checkpoint_is_config_error(self, corpus, damage):
         d, _ = corpus
         raw = (d / "model.ckpt").read_bytes()
+        if damage == "missing":
+            assert self.translate(d, d / "no.ckpt") == 2
+            return
         if damage == "truncated":
             raw = raw[:-10]
         elif damage == "trailing":
@@ -217,3 +223,114 @@ class TestInputBoundaries:
             main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
                   "--out", str(d / "out"), "--threads", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"index": 1, "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[0.5, 0.5]]}',
+            b'[{"index": 1}]',
+            b'{"index": 1, "source_tokens": ["\xff"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "source_tokens": ["a"], "target_tokens": [7], "weights": [[1.0]]}',
+            b'{"index": 1, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[NaN]]}',
+        ],
+        ids=["missing-key", "weights-size", "json-array", "bad-utf8", "number-token", "nan-weight"],
+    )
+    def test_malformed_attention_record_is_data_error(self, tmp_path, capsys, line):
+        valid = b'{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}'
+        path = tmp_path / "hyp.attn.jsonl"
+        path.write_bytes(valid + b"\n" + line + b"\n")
+        for command in (["attn-stats"], ["heatmap", "--index", "0"]):
+            assert main(command + ["--attn", str(path), "--out", str(tmp_path / "out")]) == 3
+            assert "%s:2" % path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("\ns i\n", "\nsi\n"), ("merges=40", "merges=4O"), ("eow=", "eow"), ("\nwo\t2", "\nwo 2")],
+        ids=["merge-without-space", "non-integer-merges", "field-without-equals", "vocab-without-tab"],
+    )
+    def test_malformed_bpe_model_is_data_error(self, tmp_path, old, new):
+        text = (DATA / "golden_bpe.model").read_text()
+        assert old in text
+        (tmp_path / "bad.bpe").write_text(text.replace(old, new, 1))
+        argv = ["bpe-apply", "--model", str(tmp_path / "bad.bpe"), "--input", str(DATA / "mini.src"),
+                "--output", str(tmp_path / "seg.txt")]
+        assert main(argv) == 3
+
+    def test_unreadable_text_inputs_are_data_errors(self, corpus):
+        d, _ = corpus
+        (d / "bad.txt").write_bytes(b"a b\n\xff c\n")
+        assert main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "bad.txt"),
+                     "--out", str(d / "out")]) == 3
+        for hyp in ("bad.txt", "missing.txt"):
+            assert main(["score", "--hyp", str(d / hyp), "--ref", str(d / "in.trg")]) == 3
+        assert main(["bpe-apply", "--model", str(d / "missing.bpe"), "--input", str(d / "in.src"),
+                     "--output", str(d / "seg.txt")]) == 3
+
+    @pytest.mark.parametrize("content", [b"seed = 3\n", b"[run]\nrng_seed = \xff\n"], ids=["no-section", "bad-utf8"])
+    def test_unparsable_config_is_config_error(self, tmp_path, content):
+        (tmp_path / "run.ini").write_bytes(content)
+        assert main(["synth", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path), "--num-docs", "1"]) == 2
+
+    @pytest.mark.parametrize("tokens", [["c", "b", "a"], ["a", "b", "c", "d"]], ids=["reordered", "larger"])
+    def test_incompatible_ensemble_is_config_error(self, corpus, tokens):
+        d, params = corpus
+        other = init_params(params.hyper, params.src_vocab, Vocabulary(tokens))
+        save_checkpoint(other, d / "other.ckpt")
+        argv = ["translate", "--source", str(d / "in.src"), "--out", str(d / "out"), "--checkpoint", str(d / "model.ckpt")]
+        assert main(argv + ["--checkpoint", str(d / "model.ckpt")]) == 0
+        assert main(argv + ["--checkpoint", str(d / "other.ckpt")]) == 2
+
+
+class TestGarbledInputs:
+    """Every input file format, truncated or with one byte flipped, ends with
+    a documented exit code and never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("valid")
+        (d / "in.src").write_text("a b\nc\n")
+        (d / "in.trg").write_text("x y\nz\n")
+        (d / "in.docs").write_text("d\nd\n")
+        (d / "in.meta").write_text("d\t0\t0\t0\nd\t1\t0\t0\n")
+        vocab = Vocabulary.build([["a", "b", "c"]])
+        save_checkpoint(init_params(HyperParams(embed_dim=4, hidden_dim=5, attention_dim=3), vocab, vocab),
+                        d / "model.ckpt")
+        save_config(RunConfig(analysis=AnalysisConfig(min_freq=1, min_cases=1)), d / "run.ini")
+        assert main(["bpe-learn", "--input", str(DATA / "bpe_corpus.txt"), "--num-merges", "20",
+                     "--out-model", str(d / "codes.bpe")]) == 0
+        assert main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
+                     "--meta", str(d / "in.meta"), "--out", str(d), "--beam-size", "2"]) == 0
+        return d
+
+    @staticmethod
+    def argv(d, fmt, garbled, out):
+        """The subcommand that reads `fmt`, with `garbled` in its place."""
+        return {
+            "bpe": ["bpe-apply", "--model", garbled, "--input", d / "in.src", "--output", out / "seg.txt"],
+            "attn": ["attn-stats", "--attn", garbled, "--min-freq", "1"],
+            "meta": ["translate", "--checkpoint", d / "model.ckpt", "--source", d / "in.src", "--meta", garbled],
+            "config": ["attn-stats", "--config", garbled, "--attn", d / "hyp.attn.jsonl"],
+            "checkpoint": ["translate", "--checkpoint", garbled, "--source", d / "in.src", "--beam-size", "2"],
+            "corpus": ["prepare", "--source", garbled, "--target", d / "in.trg", "--docs", d / "in.docs",
+                       "--mode", "2+2"],
+        }[fmt] + ["--out", out]
+
+    FILES = {"bpe": "codes.bpe", "attn": "hyp.attn.jsonl", "meta": "in.meta", "config": "run.ini",
+             "checkpoint": "model.ckpt", "corpus": "in.src"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(fmt=st.sampled_from(sorted(FILES)), truncate=st.booleans(), where=st.floats(0.0, 1.0),
+           mask=st.integers(1, 255))
+    def test_garbled_file_ends_with_documented_exit_code(self, valid, fmt, truncate, where, mask):
+        raw = bytearray((valid / self.FILES[fmt]).read_bytes())
+        pos = min(int(where * len(raw)), len(raw) - 1)
+        if truncate:
+            del raw[pos:]
+        else:
+            raw[pos] ^= mask
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "garbled").write_bytes(bytes(raw))
+            argv = [str(a) for a in self.argv(valid, fmt, tmp / "garbled", tmp / "out")]
+            assert main(argv) in (0, 2, 3, 4)
