@@ -38,6 +38,7 @@ from .decode import (
     AttentionExport,
     SEGMENT_ALL,
     SEGMENT_LAST,
+    as_ensemble,
     beam_decode,
     extract_scored_segment,
     greedy_decode,
@@ -178,7 +179,7 @@ def cmd_bpe_apply(args) -> int:
 
 
 def _load_examples(src, trg, docs, meta):
-    if meta and Path(meta).exists():
+    if meta:
         return read_extended_corpus(src, trg, docs, meta)
     units = read_parallel_corpus(src, trg, docs)
     return extend_corpus(units, ContextConfig(0, 0, Marking.BREAK))
@@ -218,9 +219,9 @@ def cmd_train(args) -> int:
         manifest.add_output(path)
     loss_path = out / "losses.tsv"
     with open(loss_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step\tloss\n")
-        for i, loss in enumerate(result.losses, start=1):
-            fh.write("%d\t%.6f\n" % (i, loss))
+        fh.write("step\tloss\ttokens\tgrad_norm\n")
+        for i, row in enumerate(zip(result.losses, result.tokens, result.grad_norms), start=1):
+            fh.write("%d\t%.6f\t%d\t%.6g\n" % (i, *row))
     manifest.add_output(loss_path)
     manifest.write(out / "manifest-train.json")
     last = result.losses[-1] if result.losses else float("nan")
@@ -249,9 +250,7 @@ def _beam_from_args(args, config: RunConfig) -> BeamConfig:
 
 def cmd_translate(args) -> int:
     config = _load_base_config(args)
-    models = [load_checkpoint(p) for p in args.checkpoint]
-    if not models:
-        raise ConfigError("at least one --checkpoint is required")
+    models = as_ensemble([load_checkpoint(p) for p in args.checkpoint])
     vocabs = [(m.src_vocab.tokens, m.trg_vocab.tokens) for m in models]
     for path, vocab in zip(args.checkpoint[1:], vocabs[1:]):
         if vocab != vocabs[0]:  # members' output distributions are averaged id by id
@@ -259,12 +258,18 @@ def cmd_translate(args) -> int:
     beam = _beam_from_args(args, config)
     src_lines = _read_lines(args.source)
 
-    if args.meta and Path(args.meta).exists():
+    if args.meta:
         meta = read_meta(args.meta)
+        if len(meta) != len(src_lines):
+            raise MalformedCorpusError("meta file does not align with source", path=args.meta)
+        for lineno, (tokens, row) in enumerate(zip(src_lines, meta), start=1):
+            if row[2] > len(tokens):
+                raise MalformedCorpusError(
+                    "source_focus_start %d beyond the %d source tokens" % (row[2], len(tokens)),
+                    path=args.meta, line=lineno,
+                )
     else:
         meta = [("", i, 0, 0) for i in range(len(src_lines))]
-    if len(meta) != len(src_lines):
-        raise MalformedCorpusError("meta file does not align with source", path=args.meta)
 
     params = models[0]
     use_greedy = beam.beam_size == 1 and beam.length_norm_alpha == 0.0 and beam.coverage_beta == 0.0

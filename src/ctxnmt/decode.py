@@ -115,13 +115,17 @@ def _ensemble_step(models, states, prev_ids):
     return new_states, log_probs, attn
 
 
-def _as_ensemble(params_or_ensemble) -> list[ModelParams]:
+def as_ensemble(params_or_ensemble) -> list[ModelParams]:
+    """The members in float64, copying only float32 ones.  Decoding runs in
+    float64 because in float32 BLAS rounds a row differently depending on
+    how many rows step with it, so the same hypothesis would score
+    differently under beam 1 and beam 8 (by ~1e-8)."""
     if isinstance(params_or_ensemble, ModelParams):
-        return [params_or_ensemble]
+        params_or_ensemble = [params_or_ensemble]
     models = list(params_or_ensemble)
     if not models:
         raise ConfigError("ensemble must contain at least one checkpoint")
-    return models
+    return [m if m.dtype == np.float64 else m.astype(np.float64) for m in models]
 
 
 def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
@@ -138,7 +142,7 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesi
     hypothesis offers its top beam_size tokens; the finished hypotheses plus
     these expansions are sorted stably by score and the best beam_size kept.
     """
-    models = _as_ensemble(params_or_ensemble)
+    models = as_ensemble(params_or_ensemble)
     states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
     start = Hypothesis(
         token_ids=[], log_prob=0.0, attention_rows=[], finished=False, row=0, coverage=np.zeros(len(source_ids)),
@@ -183,7 +187,7 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesi
 
 def beam_decode(params_or_ensemble, source_ids, config: BeamConfig) -> DecodeResult:
     """beam_search wrapped into the same result shape as greedy_decode."""
-    models = _as_ensemble(params_or_ensemble)
+    models = as_ensemble(params_or_ensemble)
     hyp = beam_search(models, source_ids, config)
     record = _make_record(models, source_ids, hyp.token_ids, hyp.attention_rows)
     return DecodeResult(

@@ -4,8 +4,16 @@ Architecture: bidirectional single-layer LSTM encoder, additive attention
 (score = v . tanh(W_enc h_s + W_dec d)), single-layer LSTM decoder whose
 initial hidden state is a tanh projection of the mean encoder state, and a
 tanh readout combining decoder state and attention context before the output
-projection.  Training is single-threaded, per-example, with gradients
-accumulated in a fixed order, so runs are bit-reproducible for a given seed.
+projection.
+
+Training runs masked minibatches: each step pads its examples to (B, S)
+sources and (B, T) targets and makes one forward and one backward pass over
+the whole batch.  Length masks keep padding out of everything: padded source
+positions carry the encoder state through and get attention weight 0, the
+decoder-init mean covers real positions only, and padded target positions
+have loss weight 0, so no gradient flows from or into padding.  Decoding
+encodes through the same code as a batch of one.  Runs are single-threaded
+and bit-reproducible for a given seed.
 
 backward() implements exact analytic backpropagation through the whole
 computation; grad_check() verifies it against central finite differences in
@@ -192,12 +200,7 @@ class AttentionRecord:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(x):
@@ -206,81 +209,135 @@ def softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_step(Wx, Wh, b, x, h_prev, c_prev):
-    """One LSTM step for a single state (H,) or a batch of states (K, H)."""
+def _flat(x):
+    """Collapse every leading axis: (..., D) -> (N, D)."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _lstm_step(zx, Wh, h_prev, c_prev):
+    """One LSTM step for a state (H,) or a batch of states (B, H); zx is the
+    input's share of the gate pre-activations, x @ Wx + b."""
     hdim = h_prev.shape[-1]
-    z = x @ Wx + h_prev @ Wh + b
-    i = _sigmoid(z[..., :hdim])
-    f = _sigmoid(z[..., hdim : 2 * hdim])
+    z = zx + h_prev @ Wh
+    gates = _sigmoid(z)
+    i, f, o = gates[..., :hdim], gates[..., hdim : 2 * hdim], gates[..., 3 * hdim :]
     g = np.tanh(z[..., 2 * hdim : 3 * hdim])
-    o = _sigmoid(z[..., 3 * hdim :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
+    return h, c, (h_prev, c_prev, i, f, g, o, tc)
 
 
-def _lstm_backward(Wx, Wh, cache, dh, dc, grads, prefix):
-    x, h_prev, c_prev, i, f, g, o, tc = cache
-    do = dh * tc
+def _lstm_backward(Wh, cache, dh, dc):
+    """Backward through one step of (B, H) rows: returns the gradients of the
+    gate pre-activations (B, 4H), of h_prev and of c_prev."""
+    h_prev, c_prev, i, f, g, o, tc = cache
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-    dz = np.concatenate([di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)])
-    grads[prefix + "_Wx"] += np.outer(x, dz)
-    grads[prefix + "_Wh"] += np.outer(h_prev, dz)
-    grads[prefix + "_b"] += dz
-    return Wx @ dz, Wh @ dz, dc_prev
+    dz = np.concatenate(
+        [dc_total * g * i * (1 - i), dc_total * c_prev * f * (1 - f), dc_total * i * (1 - g * g), dh * tc * o * (1 - o)],
+        axis=-1,
+    )
+    return dz, dz @ Wh.T, dc_total * f
+
+
+def _run_lstm(t, cell, X, mask, h, c, reverse=False):
+    """Run LSTM `cell` over time-major inputs X (T, B, E) from states h, c
+    (B, H).  Where mask (T, B, 1) is False a row keeps its state and outputs
+    zero.  Returns the outputs (T, B, H) and the cache for _run_lstm_backward."""
+    Wh = t[cell + "_Wh"]
+    ZX = (_flat(X) @ t[cell + "_Wx"] + t[cell + "_b"]).reshape(X.shape[:2] + (-1,))
+    out = np.empty(X.shape[:2] + h.shape[-1:], dtype=h.dtype)
+    steps = [None] * len(X)
+    order = range(len(X) - 1, -1, -1) if reverse else range(len(X))
+    for s in order:
+        h_new, c_new, steps[s] = _lstm_step(ZX[s], Wh, h, c)
+        out[s] = h_new * mask[s]
+        h = np.where(mask[s], h_new, h)
+        c = np.where(mask[s], c_new, c)
+    return out, (cell, X, mask, order, steps)
+
+
+def _run_lstm_backward(t, cache, d_out, grads):
+    """Backward through a _run_lstm call given the gradients of its outputs:
+    adds the cell's weight gradients to `grads` and returns the gradients of
+    the inputs (T, B, E) and of the initial h (B, H)."""
+    cell, X, mask, order, steps = cache
+    Wh = t[cell + "_Wh"]
+    dZ = np.empty(X.shape[:2] + Wh.shape[1:], dtype=X.dtype)
+    dh = np.zeros_like(steps[0][0])
+    dc = np.zeros_like(dh)
+    for s in reversed(order):
+        m = mask[s]
+        dZ[s], dh_prev, dc_prev = _lstm_backward(Wh, steps[s], (dh + d_out[s]) * m, dc * m)
+        dh = np.where(m, dh_prev, dh)
+        dc = np.where(m, dc_prev, dc)
+    h_prev = np.stack([step[0] for step in steps])
+    grads[cell + "_Wx"] += _flat(X).T @ _flat(dZ)
+    grads[cell + "_Wh"] += _flat(h_prev).T @ _flat(dZ)
+    grads[cell + "_b"] += _flat(dZ).sum(axis=0)
+    return dZ @ t[cell + "_Wx"].T, dh
 
 
 def _validate_ids(ids, vocab_size, what):
     ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise InputError("%s ids must be one sequence of ids, got shape %s" % (what, ids.shape))
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise InputError("%s id out of vocabulary range [0, %d)" % (what, vocab_size))
     return ids.astype(np.int64)
 
 
+def _pad(seqs, length):
+    """Right-pad id arrays with PAD_ID to (B, length); returns ids and the mask
+    of real positions."""
+    mask = np.arange(length) < np.array([len(x) for x in seqs])[:, None]
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    ids[mask] = np.concatenate(seqs)
+    return ids, mask
+
+
+def _source_batch(params: ModelParams, sources):
+    src = [_validate_ids(x, len(params.src_vocab), "source") for x in sources]
+    if not src:
+        raise InputError("a batch needs at least one example")
+    for ids in src:
+        if ids.size == 0:
+            raise InputError("cannot encode an empty source")
+        if ids.size > params.hyper.max_source_len:
+            raise InputError("source length %d exceeds max_source_len %d" % (ids.size, params.hyper.max_source_len))
+    return _pad(src, max(ids.size for ids in src))
+
+
+def _target_batch(params: ModelParams, targets):
+    """Teacher-forcing arrays (B, T) with T = longest target + 1: decoder
+    inputs (<bos> + target), predictions (target + <eos>) and their mask."""
+    trg = [_validate_ids(y, len(params.trg_vocab), "target") for y in targets]
+    for ids in trg:
+        if ids.size > params.hyper.max_target_len:
+            raise InputError("target length %d exceeds max_target_len %d" % (ids.size, params.hyper.max_target_len))
+    T = max(ids.size for ids in trg) + 1
+    dec_in, mask = _pad([np.concatenate([[BOS_ID], ids]) for ids in trg], T)
+    predict, _ = _pad([np.concatenate([ids, [EOS_ID]]) for ids in trg], T)
+    return dec_in, predict, mask
+
+
+def _encode(params: ModelParams, src_ids, src_mask):
+    """Bidirectional encoding of a padded batch (B, S): states (B, S, 2H),
+    zero at padding, and the cache for _backward."""
+    t = params.tensors
+    X = t["src_embed"][src_ids.T]
+    mask = src_mask.T[..., None]
+    zero = np.zeros((len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
+    fwd, fwd_cache = _run_lstm(t, "enc_fwd", X, mask, zero, zero)
+    bwd, bwd_cache = _run_lstm(t, "enc_bwd", X, mask, zero, zero, reverse=True)
+    states = np.ascontiguousarray(np.concatenate([fwd, bwd], axis=-1).transpose(1, 0, 2))
+    return states, (fwd_cache, bwd_cache)
+
+
 def encode(params: ModelParams, source_ids) -> np.ndarray:
     """Bidirectional encoding: one (2*hidden_dim) state per input position."""
-    states, _ = _encode_cached(params, source_ids)
-    return states
-
-
-def _encode_cached(params: ModelParams, source_ids):
-    hp = params.hyper
-    ids = _validate_ids(source_ids, len(params.src_vocab), "source")
-    if ids.size == 0:
-        raise InputError("cannot encode an empty source")
-    if ids.size > hp.max_source_len:
-        raise InputError("source length %d exceeds max_source_len %d" % (ids.size, hp.max_source_len))
-    t = params.tensors
-    emb = t["src_embed"][ids]  # (S, E)
-    S = ids.size
-    hdim = hp.hidden_dim
-    dtype = params.dtype
-
-    fwd_h = np.zeros((S, hdim), dtype=dtype)
-    fwd_caches = []
-    h = np.zeros(hdim, dtype=dtype)
-    c = np.zeros(hdim, dtype=dtype)
-    for s in range(S):
-        h, c, cache = _lstm_step(t["enc_fwd_Wx"], t["enc_fwd_Wh"], t["enc_fwd_b"], emb[s], h, c)
-        fwd_h[s] = h
-        fwd_caches.append(cache)
-
-    bwd_h = np.zeros((S, hdim), dtype=dtype)
-    bwd_caches = [None] * S
-    h = np.zeros(hdim, dtype=dtype)
-    c = np.zeros(hdim, dtype=dtype)
-    for s in reversed(range(S)):
-        h, c, cache = _lstm_step(t["enc_bwd_Wx"], t["enc_bwd_Wh"], t["enc_bwd_b"], emb[s], h, c)
-        bwd_h[s] = h
-        bwd_caches[s] = cache
-
-    states = np.concatenate([fwd_h, bwd_h], axis=1)
-    return states, {"ids": ids, "fwd": fwd_caches, "bwd": bwd_caches, "states": states}
+    states, _ = _encode(params, *_source_batch(params, [source_ids]))
+    return states[0]
 
 
 def attend(params: ModelParams, decoder_state, encoder_states, enc_proj=None):
@@ -291,39 +348,43 @@ def attend(params: ModelParams, decoder_state, encoder_states, enc_proj=None):
     return ctx, a
 
 
-def _attend_cached(params: ModelParams, decoder_state, encoder_states, enc_proj=None):
+def _attend_cached(params: ModelParams, queries, encoder_states, enc_proj=None, src_mask=None):
+    """Attention of queries (H,) or (K, H) over encoder_states (S, 2H), or of
+    a training batch's queries (B, T, H) over (B, S, 2H); then enc_proj is
+    (B, 1, S, A) and src_mask (B, 1, S) is False on padding, which gets
+    weight 0."""
     t = params.tensors
     if enc_proj is None:
         enc_proj = encoder_states @ t["attn_W_enc"]
-    q = decoder_state @ t["attn_W_dec"]
+    q = queries @ t["attn_W_dec"]
     k = np.tanh(enc_proj + q[..., None, :])
     scores = k @ t["attn_v"]
+    if src_mask is not None:
+        scores = np.where(src_mask, scores, -np.inf)
     a = softmax(scores)
     ctx = a @ encoder_states
-    return ctx, a, (k, a)
+    return ctx, a, k
 
 
-def _init_decoder(params: ModelParams, encoder_states):
+def _init_decoder(params: ModelParams, encoder_states, n_src):
+    """s0 = tanh(W mean + b) over the n_src real encoder states (zero padding
+    adds nothing to the sum)."""
     t = params.tensors
-    hbar = encoder_states.mean(axis=0)
-    pre = hbar @ t["dec_init_W"] + t["dec_init_b"]
-    s0 = np.tanh(pre)
-    c0 = np.zeros_like(s0)
-    return s0, c0, (hbar, s0)
+    hbar = encoder_states.sum(axis=-2) / n_src
+    s0 = np.tanh(hbar @ t["dec_init_W"] + t["dec_init_b"])
+    return s0, np.zeros_like(s0), (hbar, s0)
 
 
-def _decoder_step(params: ModelParams, prev_ids, s, c, enc_states, enc_proj):
-    """LSTM, attention, readout and float64 log-softmax for one target
-    position, on one state (H,) or a batch (K, H); the cache is for _backward."""
+def _output_layer(params: ModelParams, states, encoder_states, enc_proj, src_mask=None):
+    """Attention, readout and float64 log-softmax for decoder states (as in
+    _attend_cached); the cache is for _backward."""
     t = params.tensors
-    x = t["trg_embed"][prev_ids]
-    s, c, lstm_cache = _lstm_step(t["dec_Wx"], t["dec_Wh"], t["dec_b"], x, s, c)
-    ctx, a, attn_cache = _attend_cached(params, s, enc_states, enc_proj)
-    r = np.tanh(s @ t["readout_Ws"] + ctx @ t["readout_Wc"] + t["readout_b"])
+    ctx, a, k = _attend_cached(params, states, encoder_states, enc_proj, src_mask)
+    r = np.tanh(states @ t["readout_Ws"] + ctx @ t["readout_Wc"] + t["readout_b"])
     logits = (r @ t["out_W"] + t["out_b"]).astype(np.float64)
     log_probs = logits - logits.max(axis=-1, keepdims=True)
     log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
-    return s, c, log_probs, a, {"lstm": lstm_cache, "attn": attn_cache, "ctx": ctx, "r": r, "s": s}
+    return log_probs, a, (k, a, ctx, r)
 
 
 @dataclass
@@ -338,7 +399,7 @@ class DecoderState:
 
 
 def init_decoder_state(params: ModelParams, encoder_states) -> DecoderState:
-    s0, c0, _ = _init_decoder(params, encoder_states)
+    s0, c0, _ = _init_decoder(params, encoder_states, len(encoder_states))
     enc_proj = encoder_states @ params.tensors["attn_W_enc"]
     return DecoderState(h=s0[None, :], c=c0[None, :], encoder_states=encoder_states, enc_proj=enc_proj)
 
@@ -346,163 +407,154 @@ def init_decoder_state(params: ModelParams, encoder_states) -> DecoderState:
 def decode_step(params: ModelParams, state: DecoderState, prev_ids):
     """Advance every row one step, feeding prev_ids (K,); returns (new_state,
     log_probs (K, V), attention_weights (K, S))."""
-    h, c, log_probs, a, _ = _decoder_step(params, prev_ids, state.h, state.c, state.encoder_states, state.enc_proj)
+    t = params.tensors
+    zx = t["trg_embed"][prev_ids] @ t["dec_Wx"] + t["dec_b"]
+    h, c, _ = _lstm_step(zx, t["dec_Wh"], state.h, state.c)
+    log_probs, a, _ = _output_layer(params, h, state.encoder_states, state.enc_proj)
     return DecoderState(h, c, state.encoder_states, state.enc_proj), log_probs, a
 
 
-def _forward(params: ModelParams, source_ids, target_ids):
-    hp = params.hyper
-    trg = _validate_ids(target_ids, len(params.trg_vocab), "target")
-    if trg.size > hp.max_target_len:
-        raise InputError("target length %d exceeds max_target_len %d" % (trg.size, hp.max_target_len))
+def _forward(params: ModelParams, sources, targets):
+    """Teacher-forced pass over a batch padded to (B, S) sources and (B, T)
+    targets.  The loss is the mean over the batch of each example's mean
+    per-token cross-entropy."""
+    if len(sources) != len(targets):
+        raise InputError("batch has %d sources but %d targets" % (len(sources), len(targets)))
     t = params.tensors
+    src_ids, src_mask = _source_batch(params, sources)
+    dec_in, predict, trg_mask = _target_batch(params, targets)
 
-    enc_states, enc_cache = _encode_cached(params, source_ids)
+    enc_states, enc_cache = _encode(params, src_ids, src_mask)
     enc_proj = enc_states @ t["attn_W_enc"]
-    s, c, init_cache = _init_decoder(params, enc_states)
+    n_src = src_mask.sum(axis=1, keepdims=True).astype(params.dtype)
+    s0, c0, init_cache = _init_decoder(params, enc_states, n_src)
+    states, dec_cache = _run_lstm(t, "dec", t["trg_embed"][dec_in.T], trg_mask.T[..., None], s0, c0)
+    states = states.transpose(1, 0, 2)  # (B, T, H)
+    log_probs, _, out_cache = _output_layer(params, states, enc_states, enc_proj[:, None], src_mask[:, None, :])
 
-    dec_inputs = np.concatenate([[BOS_ID], trg])
-    predict = np.concatenate([trg, [EOS_ID]])
-    T = predict.size
-
-    steps = []
-    attn = np.zeros((T, enc_states.shape[0]), dtype=np.float64)
-    loss = 0.0
-    for step in range(T):
-        s, c, log_probs, attn[step], step_cache = _decoder_step(params, dec_inputs[step], s, c, enc_states, enc_proj)
-        loss -= log_probs[predict[step]]
-        step_cache.update(input_id=dec_inputs[step], p=np.exp(log_probs))
-        steps.append(step_cache)
-    loss /= T
+    # token weight 1 / (T_b * B) on real positions, 0 on padding
+    weights = trg_mask / (trg_mask.sum(axis=1, keepdims=True) * len(sources))
+    loss = -float(np.sum(np.take_along_axis(log_probs, predict[..., None], axis=-1)[..., 0] * weights))
     if not np.isfinite(loss):
         raise NumericError("non-finite loss in forward pass")
-
-    record = AttentionRecord(
-        source_tokens=[params.src_vocab.token(i) for i in enc_cache["ids"]],
-        target_tokens=[params.trg_vocab.token(i) for i in predict],
-        weights=attn,
-    )
     cache = {
-        "enc": enc_cache,
-        "enc_proj": enc_proj,
-        "init": init_cache,
-        "steps": steps,
+        "src_ids": src_ids,
+        "src_mask": src_mask,
+        "dec_in": dec_in,
         "predict": predict,
-        "T": T,
+        "trg_mask": trg_mask,
+        "weights": weights,
+        "enc_states": enc_states,
+        "enc": enc_cache,
+        "n_src": n_src,
+        "init": init_cache,
+        "dec": dec_cache,
+        "states": states,
+        "log_probs": log_probs,
+        "out": out_cache,
     }
-    return float(loss), record, cache
+    return loss, cache
 
 
 def forward_loss(params: ModelParams, source_ids, target_ids):
-    """Mean per-token teacher-forced cross-entropy plus the attention record."""
-    loss, record, _ = _forward(params, source_ids, target_ids)
+    """Mean per-token teacher-forced cross-entropy of one example plus its
+    attention record."""
+    loss, cache = _forward(params, [source_ids], [target_ids])
+    _, attn, _, _ = cache["out"]
+    record = AttentionRecord(
+        source_tokens=[params.src_vocab.token(i) for i in cache["src_ids"][0]],
+        target_tokens=[params.trg_vocab.token(i) for i in cache["predict"][0]],
+        weights=attn[0].astype(np.float64),
+    )
     return loss, record
 
 
-def backward(params: ModelParams, source_ids, target_ids):
-    """Exact gradients of forward_loss w.r.t. every parameter tensor."""
-    loss, record, cache = _forward(params, source_ids, target_ids)
+def backward(params: ModelParams, sources, targets):
+    """Exact gradients of a batch's loss w.r.t. every parameter tensor.
+
+    sources and targets are equally long sequences of id arrays; the loss is
+    the mean over the batch of each example's forward_loss.  Returns (loss,
+    grads).
+    """
+    loss, cache = _forward(params, sources, targets)
     grads = _backward(params, cache)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient in tensor %s" % name)
-    return loss, record, grads
+    return loss, grads
 
 
 def _backward(params: ModelParams, cache):
     t = params.tensors
-    hp = params.hyper
+    hdim = params.hyper.hidden_dim
     grads = params.zero_grads()
-    enc_states = cache["enc"]["states"]
-    S = enc_states.shape[0]
-    T = cache["T"]
-    dtype = params.dtype
+    enc_states = cache["enc_states"]
+    states = cache["states"]
+    k, a, ctx, r = cache["out"]
 
-    d_enc = np.zeros_like(enc_states)  # (S, 2H)
-    dh_rec = np.zeros(hp.hidden_dim, dtype=dtype)
-    dc_rec = np.zeros(hp.hidden_dim, dtype=dtype)
+    # cross-entropy + output projection
+    predict = cache["predict"]
+    dlogits = np.exp(cache["log_probs"])
+    rows, cols = np.indices(predict.shape)
+    dlogits[rows, cols, predict] -= 1.0
+    dlogits = (dlogits * cache["weights"][..., None]).astype(params.dtype)
+    grads["out_W"] += _flat(r).T @ _flat(dlogits)
+    grads["out_b"] += _flat(dlogits).sum(axis=0)
+    dr = dlogits @ t["out_W"].T
 
-    for step in reversed(range(T)):
-        data = cache["steps"][step]
-        s = data["s"]
-        ctx = data["ctx"]
-        r = data["r"]
-        k, a = data["attn"]
+    # readout
+    drpre = dr * (1.0 - r * r)
+    grads["readout_Ws"] += _flat(states).T @ _flat(drpre)
+    grads["readout_Wc"] += _flat(ctx).T @ _flat(drpre)
+    grads["readout_b"] += _flat(drpre).sum(axis=0)
+    ds = drpre @ t["readout_Ws"].T
+    dctx = drpre @ t["readout_Wc"].T
 
-        # cross-entropy + output projection
-        dlogits = (data["p"].copy()).astype(dtype)
-        dlogits[cache["predict"][step]] -= 1.0
-        dlogits /= T
-        grads["out_W"] += np.outer(r, dlogits)
-        grads["out_b"] += dlogits
-        dr = t["out_W"] @ dlogits
+    # attention: ctx = a @ enc_states, a = softmax(k @ v), k = tanh(enc_proj + q)
+    da = dctx @ enc_states.transpose(0, 2, 1)
+    d_enc = a.transpose(0, 2, 1) @ dctx
+    dscores = a * (da - (a * da).sum(axis=-1, keepdims=True))
+    grads["attn_v"] += _flat(k).T @ dscores.ravel()
+    dpre = dscores[..., None] * t["attn_v"] * (1.0 - k * k)
+    d_proj = dpre.sum(axis=1)
+    grads["attn_W_enc"] += _flat(enc_states).T @ _flat(d_proj)
+    d_enc += d_proj @ t["attn_W_enc"].T
+    dq = dpre.sum(axis=2)
+    grads["attn_W_dec"] += _flat(states).T @ _flat(dq)
+    ds += dq @ t["attn_W_dec"].T
 
-        # readout
-        drpre = dr * (1.0 - r * r)
-        grads["readout_Ws"] += np.outer(s, drpre)
-        grads["readout_Wc"] += np.outer(ctx, drpre)
-        grads["readout_b"] += drpre
-        ds = t["readout_Ws"] @ drpre
-        dctx = t["readout_Wc"] @ drpre
+    # decoder recurrence
+    d_dec_in, ds0 = _run_lstm_backward(t, cache["dec"], ds.transpose(1, 0, 2), grads)
+    trg_mask = cache["trg_mask"].T
+    np.add.at(grads["trg_embed"], cache["dec_in"].T[trg_mask], d_dec_in[trg_mask])
 
-        # attention: ctx = a @ enc_states, a = softmax(k @ v), k = tanh(enc_proj + q)
-        da = enc_states @ dctx
-        d_enc += np.outer(a, dctx)
-        dscores = a * (da - a @ da)
-        grads["attn_v"] += k.T @ dscores
-        dk = np.outer(dscores, t["attn_v"])
-        dpre = dk * (1.0 - k * k)
-        grads["attn_W_enc"] += enc_states.T @ dpre
-        d_enc += dpre @ t["attn_W_enc"].T
-        dq = dpre.sum(axis=0)
-        grads["attn_W_dec"] += np.outer(s, dq)
-        ds += t["attn_W_dec"] @ dq
-
-        # decoder recurrence
-        ds += dh_rec
-        dx, dh_rec, dc_rec = _lstm_backward(t["dec_Wx"], t["dec_Wh"], data["lstm"], ds, dc_rec, grads, "dec")
-        grads["trg_embed"][data["input_id"]] += dx
-
-    # decoder init projection: s0 = tanh(hbar @ W + b), hbar = mean(enc_states)
+    # decoder init projection: s0 = tanh(hbar @ W + b), hbar = masked mean of enc_states
     hbar, s0 = cache["init"]
-    dpre0 = dh_rec * (1.0 - s0 * s0)
-    grads["dec_init_W"] += np.outer(hbar, dpre0)
-    grads["dec_init_b"] += dpre0
-    d_enc += (t["dec_init_W"] @ dpre0) / S
+    src_mask = cache["src_mask"]
+    dpre0 = ds0 * (1.0 - s0 * s0)
+    grads["dec_init_W"] += hbar.T @ dpre0
+    grads["dec_init_b"] += dpre0.sum(axis=0)
+    d_enc += ((dpre0 @ t["dec_init_W"].T) / cache["n_src"])[:, None, :] * src_mask[..., None]
 
     # encoder BPTT
-    hdim = hp.hidden_dim
-    d_fwd = d_enc[:, :hdim]
-    d_bwd = d_enc[:, hdim:]
-    src_ids = cache["enc"]["ids"]
-
-    dh = np.zeros(hdim, dtype=dtype)
-    dc = np.zeros(hdim, dtype=dtype)
-    for s_pos in reversed(range(S)):
-        dx, dh, dc = _lstm_backward(
-            t["enc_fwd_Wx"], t["enc_fwd_Wh"], cache["enc"]["fwd"][s_pos], d_fwd[s_pos] + dh, dc, grads, "enc_fwd"
-        )
-        grads["src_embed"][src_ids[s_pos]] += dx
-
-    dh = np.zeros(hdim, dtype=dtype)
-    dc = np.zeros(hdim, dtype=dtype)
-    for s_pos in range(S):
-        dx, dh, dc = _lstm_backward(
-            t["enc_bwd_Wx"], t["enc_bwd_Wh"], cache["enc"]["bwd"][s_pos], d_bwd[s_pos] + dh, dc, grads, "enc_bwd"
-        )
-        grads["src_embed"][src_ids[s_pos]] += dx
-
+    fwd_cache, bwd_cache = cache["enc"]
+    d_enc = d_enc.transpose(1, 0, 2)
+    dx_fwd, _ = _run_lstm_backward(t, fwd_cache, d_enc[..., :hdim], grads)
+    dx_bwd, _ = _run_lstm_backward(t, bwd_cache, d_enc[..., hdim:], grads)
+    src_mask = src_mask.T
+    np.add.at(grads["src_embed"], cache["src_ids"].T[src_mask], (dx_fwd + dx_bwd)[src_mask])
     return grads
 
 
-def grad_check(params: ModelParams, source_ids, target_ids, epsilon: float = 1e-4, num_coords: int = 200, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(params: ModelParams, sources, targets, epsilon: float = 1e-4, num_coords: int = 200, seed: int = 0) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of a batch's loss (sources and targets as for backward).
 
     Runs in double precision on a random subset of coordinates spread across
     all tensors.
     """
     p64 = params.astype(np.float64)
-    _, _, grads = backward(p64, source_ids, target_ids)
+    _, grads = backward(p64, sources, targets)
     rng = substream(seed, "grad-check")
 
     names = sorted(p64.tensors)
@@ -520,9 +572,9 @@ def grad_check(params: ModelParams, source_ids, target_ids, epsilon: float = 1e-
 
         original = tensor[idx]
         tensor[idx] = original + epsilon
-        loss_plus, _, _ = _forward(p64, source_ids, target_ids)
+        loss_plus, _ = _forward(p64, sources, targets)
         tensor[idx] = original - epsilon
-        loss_minus, _, _ = _forward(p64, source_ids, target_ids)
+        loss_minus, _ = _forward(p64, sources, targets)
         tensor[idx] = original
 
         fd = (loss_plus - loss_minus) / (2 * epsilon)
@@ -544,8 +596,13 @@ class Checkpoint:
 
 @dataclass
 class TrainResult:
+    """Per-step logs: batch loss, target tokens (<eos> included) and the
+    gradient norm before the optimizer update."""
+
     checkpoints: list[Checkpoint]
     losses: list[float] = field(default_factory=list)
+    tokens: list[int] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
     skipped: int = 0
 
     def loss_decreased(self, fraction: float = 0.1) -> bool:
@@ -601,7 +658,8 @@ def train(
     hp: HyperParams | None = None,
     savepoint_schedule=4,
 ) -> TrainResult:
-    """Stochastic gradient training with savepoints.
+    """Minibatch training with Adam and savepoints: one backward call per
+    step over the whole padded batch.
 
     savepoint_schedule is either an int (that many evenly spaced checkpoints,
     the last at the end of training) or an explicit sequence of 1-based step
@@ -635,23 +693,12 @@ def train(
         for _ in range(hp.epochs):
             order = shuffle_rng.permutation(len(pairs))
             for b in range(steps_per_epoch):
-                batch = order[b * hp.batch_size : (b + 1) * hp.batch_size]
-                grads = params.zero_grads()
-                batch_loss = 0.0
-                for idx in batch:
-                    src, trg = pairs[idx]
-                    loss, _, g = backward(params, src, trg)
-                    batch_loss += loss
-                    for name in grads:
-                        grads[name] += g[name]
-                scale = np.asarray(1.0 / len(batch), dtype=params.dtype)
-                for name in grads:
-                    grads[name] *= scale
-                batch_loss /= len(batch)
-                if not np.isfinite(batch_loss):
-                    raise NumericError("non-finite loss at training step %d" % (step + 1))
+                sources, targets = zip(*(pairs[i] for i in order[b * hp.batch_size : (b + 1) * hp.batch_size]))
+                loss, grads = backward(params, sources, targets)
+                result.grad_norms.append(float(np.sqrt(sum(np.sum(np.square(g, dtype=np.float64)) for g in grads.values()))))
                 optimizer.update(params, grads)
-                result.losses.append(batch_loss)
+                result.losses.append(loss)
+                result.tokens.append(sum(trg.size + 1 for trg in targets))
                 step += 1
                 if schedule and step == schedule[0]:
                     schedule.pop(0)

@@ -159,13 +159,14 @@ def learn_bpe(
     )
 
 
-def default_protected(token: str) -> bool:
-    """Tokens apply_bpe must pass through unsegmented."""
+def default_protected(token: str, eow_marker: str = DEFAULT_EOW_MARKER, join_marker: str = DEFAULT_JOIN_MARKER) -> bool:
+    """Tokens apply_bpe must pass through unsegmented: the break token,
+    context-prefixed tokens and tokens containing either marker."""
     return (
         token == DEFAULT_BREAK_TOKEN
         or token.startswith(DEFAULT_CONTEXT_PREFIX)
-        or DEFAULT_EOW_MARKER in token
-        or DEFAULT_JOIN_MARKER in token
+        or eow_marker in token
+        or join_marker in token
     )
 
 
@@ -193,17 +194,19 @@ def apply_bpe(
     model: BpeModel,
     token: str,
     vocab_threshold: int = 0,
-    protected=default_protected,
+    protected=None,
 ) -> list[str]:
     """Segment one token into emitted subwords.
 
     Merges are applied in learned order; subwords whose learning-corpus count
     falls below vocab_threshold are split back into their merge parts until
-    every piece meets the threshold or is a single symbol.
+    every piece meets the threshold or is a single symbol.  Tokens for which
+    `protected` is true pass through unsegmented; by default that is
+    default_protected with the model's own markers.
     """
     if not token:
         raise ConfigError("cannot segment an empty token")
-    if protected is not None and protected(token):
+    if protected(token) if protected else default_protected(token, model.eow_marker, model.join_marker):
         return [token]
 
     cache = model._cache

@@ -96,8 +96,8 @@ def test_criterion_02_gradient_verification():
     assert params.num_params() <= 10 ** 4
     err = grad_check(
         params,
-        src_vocab.encode(["a", "b", "c", "d", "e"]),
-        trg_vocab.encode(["u", "v", "w", "x"]),
+        [src_vocab.encode(["a", "b", "c", "d", "e"])],
+        [trg_vocab.encode(["u", "v", "w", "x"])],
         epsilon=1e-4,
         num_coords=250,
         seed=7,

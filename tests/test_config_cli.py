@@ -217,6 +217,35 @@ class TestInputBoundaries:
                  "--meta", str(d / "bad.meta"), "--out", str(d / "run"), "--epochs", "1"]
         assert main(train) == 3
 
+    def test_missing_meta_is_data_error(self, corpus, capsys):
+        d, _ = corpus
+        assert self.translate(d, d / "model.ckpt", d / "typo.meta") == 3
+        assert str(d / "typo.meta") in capsys.readouterr().err
+        train = ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
+                 "--meta", str(d / "typo.meta"), "--out", str(d / "run"), "--epochs", "1"]
+        assert main(train) == 3
+        assert str(d / "typo.meta") in capsys.readouterr().err
+
+    def test_focus_offset_beyond_source_is_data_error(self, corpus, capsys):
+        d, _ = corpus
+        (d / "bad.meta").write_text("d\t0\t2\t0\nd\t1\t2\t0\n")  # line 2's source has one token
+        assert self.translate(d, d / "model.ckpt", d / "bad.meta") == 3
+        assert "%s:2" % (d / "bad.meta") in capsys.readouterr().err
+        assert not (d / "out" / "hyp.attn.jsonl").exists()
+
+    def test_train_logs_tokens_and_grad_norm(self, corpus):
+        d, _ = corpus
+        train = ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
+                 "--meta", str(d / "in.meta"), "--out", str(d / "run"), "--epochs", "2", "--batch-size", "2",
+                 "--embed-dim", "4", "--hidden-dim", "5", "--attention-dim", "3"]
+        assert main(train) == 0
+        rows = [line.split("\t") for line in (d / "run" / "losses.tsv").read_text().splitlines()]
+        assert rows[0] == ["step", "loss", "tokens", "grad_norm"]
+        assert [row[0] for row in rows[1:]] == ["1", "2"]
+        for row in rows[1:]:
+            assert int(row[2]) == (2 + 1) + (1 + 1)  # both targets plus <eos> each
+            assert 0.0 < float(row[3]) < float("inf")
+
     def test_translate_threads_flag_removed(self, corpus):
         d, _ = corpus
         with pytest.raises(SystemExit) as exc:

@@ -12,9 +12,12 @@ from ctxnmt.model import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    RESERVED_TOKENS,
     UNK_ID,
     HyperParams,
     Vocabulary,
+    _encode,
+    _source_batch,
     attend,
     backward,
     encode,
@@ -148,7 +151,7 @@ class TestForwardLoss:
         z = zeroed(params).astype(np.float64)
         z.tensors["out_b"][:] = -50.0
         z.tensors["out_b"][EOS_ID] = 50.0
-        _, _, grads = backward(z, src_vocab.encode(["a"]), np.array([], dtype=np.int64))
+        _, grads = backward(z, [src_vocab.encode(["a"])], [np.array([], dtype=np.int64)])
         for g in grads.values():
             assert np.allclose(g, 0.0, atol=1e-10)
 
@@ -174,8 +177,8 @@ class TestGradients:
         assert params.num_params() <= 10 ** 4
         err = grad_check(
             params,
-            src_vocab.encode(["a", "b", "c", "d"]),
-            trg_vocab.encode(["x", "y", "z"]),
+            [src_vocab.encode(["a", "b", "c", "d"])],
+            [trg_vocab.encode(["x", "y", "z"])],
             epsilon=1e-4,
             num_coords=250,
             seed=11,
@@ -186,18 +189,85 @@ class TestGradients:
         params, src_vocab, trg_vocab = tiny_model(seed=6)
         src = src_vocab.encode(["a", "b"])
         trg = trg_vocab.encode(["x", "y"])
-        err_full = grad_check(params, src, trg, epsilon=1e-4, num_coords=120, seed=2)
-        err_half = grad_check(params, src, trg, epsilon=5e-5, num_coords=120, seed=2)
+        err_full = grad_check(params, [src], [trg], epsilon=1e-4, num_coords=120, seed=2)
+        err_half = grad_check(params, [src], [trg], epsilon=5e-5, num_coords=120, seed=2)
         assert err_half <= 4 * err_full + 1e-6
 
     def test_unused_embedding_rows_zero_grad(self):
         params, src_vocab, trg_vocab = tiny_model()
         src = src_vocab.encode(["a", "b"])
         trg = trg_vocab.encode(["x"])
-        _, _, grads = backward(params, src, trg)
+        _, grads = backward(params, [src], [trg])
         unused = [i for i in range(len(src_vocab)) if i not in set(src.tolist())]
         for i in unused:
             assert np.all(grads["src_embed"][i] == 0.0)
+
+
+def mixed_batch(src_vocab, trg_vocab, seed=0):
+    """Sources of lengths 1..5 and targets of lengths 0..4 (one empty)."""
+    rng = np.random.default_rng(seed)
+    first_src, first_trg = len(RESERVED_TOKENS), len(RESERVED_TOKENS)
+    sources = [rng.integers(first_src, len(src_vocab), size=n) for n in (3, 1, 5, 2, 4)]
+    targets = [rng.integers(first_trg, len(trg_vocab), size=n) for n in (2, 0, 4, 1, 3)]
+    return sources, targets
+
+
+def mean_of_single_grads(params, sources, targets):
+    singles = [backward(params, [s], [t])[1] for s, t in zip(sources, targets)]
+    return {name: sum(g[name] for g in singles) / len(singles) for name in singles[0]}
+
+
+def max_abs_diff(a, b):
+    return max(float(np.max(np.abs(a[name] - b[name]))) for name in a)
+
+
+class TestBatch:
+    def test_grad_check_mixed_length_batch(self):
+        params, src_vocab, trg_vocab = tiny_model(seed=7)
+        sources, targets = mixed_batch(src_vocab, trg_vocab)
+        err = grad_check(params, sources, targets, epsilon=1e-4, num_coords=250, seed=3)
+        assert err < 1e-3
+
+    def test_batched_equals_mean_of_single_examples(self):
+        params, src_vocab, trg_vocab = tiny_model(seed=8)
+        p64 = params.astype(np.float64)
+        sources, targets = mixed_batch(src_vocab, trg_vocab, seed=1)
+        loss, grads = backward(p64, sources, targets)
+        losses = [forward_loss(p64, s, t)[0] for s, t in zip(sources, targets)]
+        assert loss == pytest.approx(np.mean(losses), rel=1e-12)
+        assert max_abs_diff(grads, mean_of_single_grads(p64, sources, targets)) < 1e-10
+
+    def test_padding_gets_no_gradient(self):
+        params, src_vocab, trg_vocab = tiny_model(seed=9)
+        p64 = params.astype(np.float64)
+        sources, targets = mixed_batch(src_vocab, trg_vocab, seed=2)
+        _, grads = backward(p64, sources, targets)
+        assert np.all(grads["src_embed"][PAD_ID] == 0.0)
+        assert np.all(grads["trg_embed"][PAD_ID] == 0.0)
+        # a longer example pads the others further without changing their share
+        longer_src = np.full(9, src_vocab.id("a"))
+        longer_trg = np.full(8, trg_vocab.id("x"))
+        _, with_longer = backward(p64, sources + [longer_src], targets + [longer_trg])
+        _, longer_alone = backward(p64, [longer_src], [longer_trg])
+        n = len(sources)
+        others = {name: ((n + 1) * with_longer[name] - longer_alone[name]) / n for name in grads}
+        assert max_abs_diff(others, grads) < 1e-10
+
+    def test_encode_equals_unpadded_rows_of_batch(self):
+        params, src_vocab, trg_vocab = tiny_model(seed=10)
+        sources, _ = mixed_batch(src_vocab, trg_vocab, seed=3)
+        src_ids, src_mask = _source_batch(params, sources)
+        states, _ = _encode(params, src_ids, src_mask)
+        for row, ids in enumerate(sources):
+            assert np.allclose(states[row, : ids.size], encode(params, ids), rtol=0, atol=1e-6)
+            assert np.all(states[row, ids.size :] == 0.0)
+
+    def test_single_arrays_are_not_a_batch(self):
+        params, src_vocab, trg_vocab = tiny_model()
+        with pytest.raises(InputError):
+            backward(params, src_vocab.encode(["a", "b"]), trg_vocab.encode(["x", "y"]))
+        with pytest.raises(InputError):
+            backward(params, [src_vocab.encode(["a"])], [])
 
 
 def copy_corpus(n_units=20, seed=0):

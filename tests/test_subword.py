@@ -83,6 +83,13 @@ class TestApply:
         assert apply_bpe(model, "_BREAK_") == ["_BREAK_"]
         assert apply_bpe(model, "cc_siehst") == ["cc_siehst"]
 
+    def test_protected_tokens_use_the_models_markers(self):
+        model = learn_bpe({"ab": 2, "abc": 1}, 2, eow_marker="<e>", join_marker="~~")
+        for token in ("ab~~", "a~~b", "x<e>y", "_BREAK_", "cc_ab"):
+            assert apply_bpe(model, token) == [token]
+        assert apply_bpe(model, "abc") == ["ab~~", "c"]
+        assert apply_bpe(model, "ab@@c") == ["ab~~", "@~~", "@~~", "c"]  # "@@" is ordinary text here
+
     def test_single_char_token(self):
         model = learn_bpe({"a": 1}, 0)
         assert apply_bpe(model, "a") == ["a"]
