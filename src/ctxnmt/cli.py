@@ -146,8 +146,8 @@ def cmd_bpe_learn(args) -> int:
     lines = _read_lines(args.input[0])
     for extra in args.input[1:]:
         lines.extend(_read_lines(extra))
-    num_merges = args.num_merges if args.num_merges is not None else config.bpe.num_merges
-    model = learn_bpe(word_frequencies(lines), num_merges)
+    bpe = replace(config.bpe, num_merges=args.num_merges) if args.num_merges is not None else config.bpe
+    model = learn_bpe(word_frequencies(lines), bpe.num_merges)
     out_model = Path(args.out_model)
     out_model.parent.mkdir(parents=True, exist_ok=True)
     save_bpe_model(model, out_model)
@@ -163,9 +163,9 @@ def cmd_bpe_learn(args) -> int:
 def cmd_bpe_apply(args) -> int:
     config = _load_base_config(args)
     model = load_bpe_model(args.model)
-    threshold = args.vocab_threshold if args.vocab_threshold is not None else config.bpe.vocab_threshold
+    bpe = replace(config.bpe, vocab_threshold=args.vocab_threshold) if args.vocab_threshold is not None else config.bpe
     lines = _read_lines(args.input)
-    segmented = [apply_bpe_line(model, tokens, threshold) for tokens in lines]
+    segmented = [apply_bpe_line(model, tokens, bpe.vocab_threshold) for tokens in lines]
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_lines(output, (" ".join(tokens) for tokens in segmented))

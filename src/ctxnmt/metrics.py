@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import DEFAULT_BREAK_TOKEN
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 TokenSeq = Sequence[str]
 
@@ -130,8 +130,10 @@ def score_extended(
 
     For every unit, up to `window` consecutive units ending at it (never
     crossing a document boundary) are concatenated on both sides; break
-    tokens are removed before scoring.
+    tokens are removed before scoring.  A window below 1 is a ConfigError.
     """
+    if window < 1:
+        raise ConfigError("window must be >= 1, got %d" % window)
     if not (len(hyp_units) == len(ref_units) == len(doc_ids)):
         raise InputError("unit lists and doc ids must be aligned")
 

@@ -15,7 +15,7 @@ be represented unambiguously and are outside the format's domain.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -124,31 +124,59 @@ def learn_bpe(
     Performs min(num_merges, available) merges; at each step the most
     frequent adjacent symbol pair is merged, ties broken lexicographically on
     (left, right) with marker-bearing symbols ordered last.
+
+    Pair counts are kept live (Sennrich et al. 2016): an index from pair to
+    the words containing it limits each merge to those words, whose pair
+    counts are subtracted before the merge and added back after it.  A stale
+    word in the index is harmless: the merge leaves it unchanged.
     """
-    vocab: dict[tuple[str, ...], int] = {}
+    if num_merges < 0:
+        raise ConfigError("num_merges must be >= 0")
+    words: list[tuple[str, ...]] = []
+    freqs: list[int] = []
     for word, count in word_frequencies.items():
         if count <= 0:
             raise ConfigError("word frequency for %r must be > 0" % word)
-        vocab[tuple(word) + (eow_marker,)] = vocab.get(tuple(word) + (eow_marker,), 0) + count
+        if any(ch.isspace() for ch in word):
+            raise ConfigError("cannot learn from a word containing whitespace: %r" % word)
+        words.append(tuple(word) + (eow_marker,))
+        freqs.append(count)
+
+    stats: dict[tuple[str, str], int] = {}
+    index: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, word in enumerate(words):
+        for pair in zip(word, word[1:]):
+            stats[pair] = stats.get(pair, 0) + freqs[i]
+            index[pair].add(i)
 
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
-        stats: Counter = Counter()
-        for word, count in vocab.items():
-            for pair in zip(word, word[1:]):
-                stats[pair] += count
         if not stats:
             break
         best_count = max(stats.values())
         best = min(
-            (p for p, c in stats.items() if c == best_count),
+            [p for p, c in stats.items() if c == best_count],
             key=lambda p: _pair_sort_key(p, eow_marker),
         )
         merges.append(best)
-        vocab = {_merge_word(word, best): count for word, count in vocab.items()}
+        for i in index.pop(best):
+            old, count = words[i], freqs[i]
+            new = _merge_word(old, best)
+            if new == old:
+                continue
+            words[i] = new
+            for pair in zip(old, old[1:]):
+                remaining = stats[pair] - count
+                if remaining:
+                    stats[pair] = remaining
+                else:
+                    del stats[pair]
+            for pair in zip(new, new[1:]):
+                stats[pair] = stats.get(pair, 0) + count
+                index[pair].add(i)
 
     counts: Counter = Counter()
-    for word, count in vocab.items():
+    for word, count in zip(words, freqs):
         for piece in _emit(word, eow_marker, join_marker):
             counts[piece] += count
     return BpeModel(
@@ -206,6 +234,8 @@ def apply_bpe(
     """
     if not token:
         raise ConfigError("cannot segment an empty token")
+    if vocab_threshold < 0:
+        raise ConfigError("vocab_threshold must be >= 0")
     if protected(token) if protected else default_protected(token, model.eow_marker, model.join_marker):
         return [token]
 

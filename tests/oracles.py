@@ -6,6 +6,7 @@ implementations is meaningful.
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 
@@ -211,3 +212,58 @@ def oracle_corpus_external_proportion(partitions):
         ext += e
         total += e + i
     return ext / total if total > 0 else 0.0
+
+
+def _pair_sort_key(pair, eow):
+    left, right = pair
+    return (eow in left, eow in right, left, right)
+
+
+def _merge_word(word, pair):
+    out = []
+    i = 0
+    while i < len(word):
+        if i + 1 < len(word) and (word[i], word[i + 1]) == pair:
+            out.append(word[i] + word[i + 1])
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
+
+
+def _emit(symbols, eow, join):
+    body = [s for s in symbols[:-1]]
+    if symbols and symbols[-1] != eow:
+        body.append(symbols[-1][: -len(eow)])
+    return [s + join for s in body[:-1]] + body[-1:]
+
+
+def oracle_learn_bpe(word_frequencies, num_merges, eow_marker, join_marker):
+    """BPE learning that recounts every adjacent pair over the whole
+    vocabulary before each merge; returns `.merges` and `.subword_vocab`."""
+    vocab = {}
+    for word, count in word_frequencies.items():
+        vocab[tuple(word) + (eow_marker,)] = count
+
+    merges = []
+    for _ in range(num_merges):
+        stats = Counter()
+        for word, count in vocab.items():
+            for pair in zip(word, word[1:]):
+                stats[pair] += count
+        if not stats:
+            break
+        best_count = max(stats.values())
+        best = min(
+            (p for p, c in stats.items() if c == best_count),
+            key=lambda p: _pair_sort_key(p, eow_marker),
+        )
+        merges.append(best)
+        vocab = {_merge_word(word, best): count for word, count in vocab.items()}
+
+    counts = Counter()
+    for word, count in vocab.items():
+        for piece in _emit(word, eow_marker, join_marker):
+            counts[piece] += count
+    return SimpleNamespace(merges=tuple(merges), subword_vocab=dict(counts))

@@ -1,6 +1,10 @@
 """Config round-trip, manifest, and CLI subcommand tests."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctxnmt
 from ctxnmt.cli import main
 from ctxnmt.config import AnalysisConfig, RunConfig, load_config, save_config, start_manifest
 from ctxnmt.corpus import ContextConfig, Marking
@@ -126,6 +131,39 @@ class TestCli:
         manifest = json.loads((tmp_path / "seg.txt.manifest.json").read_text())
         assert manifest["command"] == "bpe-apply"
         assert len(manifest["input_checksums"]) == 2 and len(manifest["output_checksums"]) == 1
+
+    def test_negative_bpe_arguments_are_config_errors(self, tmp_path):
+        assert main(["bpe-learn", "--input", str(DATA / "bpe_corpus.txt"), "--num-merges", "-3",
+                     "--out-model", str(tmp_path / "codes.bpe")]) == 2
+        assert not (tmp_path / "codes.bpe").exists()
+        assert main(["bpe-apply", "--model", str(DATA / "golden_bpe.model"), "--input", str(DATA / "mini.src"),
+                     "--output", str(tmp_path / "seg.txt"), "--vocab-threshold", "-2"]) == 2
+        assert not (tmp_path / "seg.txt").exists()
+
+    def test_bpe_learn_is_independent_of_hash_seed(self, tmp_path):
+        rng = random.Random(3)
+        lines = [" ".join("".join(rng.choice("abcd") for _ in range(rng.randint(1, 7)))
+                          for _ in range(rng.randint(1, 12))) for _ in range(200)]
+        (tmp_path / "corpus.txt").write_text("\n".join(lines) + "\n")
+        src = str(Path(ctxnmt.__file__).parents[1])
+        models = []
+        for hash_seed in ("1", "2024"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            model = tmp_path / ("codes-%s.bpe" % hash_seed)
+            subprocess.run([sys.executable, "-m", "ctxnmt.cli", "bpe-learn", "--input", str(tmp_path / "corpus.txt"),
+                            "--num-merges", "400", "--out-model", str(model)], env=env, check=True,
+                           capture_output=True)
+            models.append(model.read_bytes())
+        assert len(load_bpe_model(tmp_path / "codes-1.bpe").merges) > 100
+        assert models[0] == models[1]
+
+    def test_score_window_below_one_is_config_error(self, tmp_path):
+        argv = ["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
+                "--docs", str(DATA / "mini.docs"), "--regime", "extended"]
+        assert main(argv + ["--window", "1"]) == 0
+        for window in ("0", "-1"):
+            assert main(argv + ["--window", window]) == 2
 
     def test_score_subcommand(self, tmp_path, capsys):
         code = main(["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),

@@ -1,12 +1,13 @@
 """BPE learning, application, threshold splitting, and reversion tests."""
 
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxnmt.errors import MalformedSegmentationError
+from ctxnmt.errors import ConfigError, MalformedSegmentationError
 from ctxnmt.subword import (
     apply_bpe,
     apply_bpe_line,
@@ -16,6 +17,8 @@ from ctxnmt.subword import (
     save_bpe_model,
     word_frequencies,
 )
+
+from oracles import oracle_learn_bpe
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,6 +51,20 @@ class TestLearn:
     def test_subword_vocab_counts(self):
         model = learn_bpe({"ab": 3, "ac": 2}, 0)
         assert model.subword_vocab == {"a@@": 5, "b": 3, "c": 2}
+
+    def test_overlapping_repeats(self):
+        model = learn_bpe({"aaaa": 2, "aaa": 1}, 2)
+        assert model.merges == (("a", "a"), ("aa", "aa"))
+        assert model.subword_vocab == {"aaaa": 2, "aa@@": 1, "a": 1}
+
+    def test_negative_merges_rejected(self):
+        with pytest.raises(ConfigError):
+            learn_bpe({"ab": 1}, -1)
+
+    @pytest.mark.parametrize("word", ["a b", "a\tb", "ab\n", "a\u2028b"])
+    def test_whitespace_in_word_rejected(self, word):
+        with pytest.raises(ConfigError):
+            learn_bpe({word: 3, "ab": 1}, 5)
 
 
 class TestApply:
@@ -93,6 +110,11 @@ class TestApply:
     def test_single_char_token(self):
         model = learn_bpe({"a": 1}, 0)
         assert apply_bpe(model, "a") == ["a"]
+
+    def test_negative_threshold_rejected(self):
+        model = learn_bpe({"ab": 2}, 1)
+        with pytest.raises(ConfigError):
+            apply_bpe(model, "ab", vocab_threshold=-1)
 
 
 class TestRevert:
@@ -145,6 +167,39 @@ def test_threshold_monotonicity(words, num_merges, token, t1, t2):
 @given(words=corpus_words_st, num_merges=st.integers(min_value=0, max_value=30))
 def test_learn_deterministic(words, num_merges):
     assert learn_bpe(words, num_merges) == learn_bpe(words, num_merges)
+
+
+markers_st = st.sampled_from([("</w>", "@@"), ("$", "~"), ("<e>", "+")])
+small_words_st = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.dictionaries(
+        st.text(alphabet=alphabet, min_size=0, max_size=9), st.integers(min_value=1, max_value=6),
+        min_size=1, max_size=12,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=small_words_st, num_merges=st.integers(min_value=0, max_value=30), markers=markers_st)
+@example(words={"aaaa": 3, "abab": 2, "aaa": 1, "ba": 2}, num_merges=10, markers=("</w>", "@@"))
+def test_learn_matches_recount_oracle(words, num_merges, markers):
+    # small alphabets and counts make ties and overlapping repeats common
+    model = learn_bpe(words, num_merges, *markers)
+    oracle = oracle_learn_bpe(words, num_merges, *markers)
+    assert model.merges == oracle.merges
+    assert model.subword_vocab == oracle.subword_vocab
+
+
+def test_learn_matches_recount_oracle_zipfian():
+    rng = random.Random(5)
+    types = set()
+    while len(types) < 300:
+        types.add("".join(rng.choice("abcdefg") for _ in range(rng.randint(1, 9))))
+    words = {word: 1 + 600 // rank for rank, word in enumerate(sorted(types), start=1)}
+    model = learn_bpe(words, 150)
+    oracle = oracle_learn_bpe(words, 150, "</w>", "@@")
+    assert len(model.merges) == 150
+    assert model.merges == oracle.merges
+    assert model.subword_vocab == oracle.subword_vocab
 
 
 class TestModelFile:
