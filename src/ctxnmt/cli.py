@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from . import attnstats as astats
 from . import metrics
-from .config import RunConfig, load_config, start_manifest
+from .config import SECTIONS, RunConfig, load_config, section_fields, start_manifest
 from .corpus import (
     ContextConfig,
     Marking,
@@ -34,7 +34,6 @@ from .corpus import (
     write_parallel_corpus,
 )
 from .decode import (
-    BeamConfig,
     AttentionExport,
     SEGMENT_ALL,
     SEGMENT_LAST,
@@ -61,23 +60,35 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .subword import apply_bpe_line, learn_bpe, load_bpe_model, save_bpe_model, word_frequencies
+from .subword import apply_bpe_line, learn_bpe, load_bpe_model, protection, save_bpe_model, word_frequencies
 
+# --mode sets the window geometry and marking; the break token and context
+# prefix stay as configured.
 _MODES = {
-    "baseline": ContextConfig(0, 0, Marking.BREAK),
-    "2+1-prefix": ContextConfig(1, 0, Marking.PREFIX),
-    "2+1-break": ContextConfig(1, 0, Marking.BREAK),
-    "2+2": ContextConfig(1, 1, Marking.BREAK),
+    "baseline": dict(source_window=0, target_window=0, marking=Marking.BREAK),
+    "2+1-prefix": dict(source_window=1, target_window=0, marking=Marking.PREFIX),
+    "2+1-break": dict(source_window=1, target_window=0, marking=Marking.BREAK),
+    "2+2": dict(source_window=1, target_window=1, marking=Marking.BREAK),
 }
 
 
+def _override(section, args):
+    """`section` with every flag whose argparse dest names one of its fields applied."""
+    changes = {key: getattr(args, key) for key in section_fields(section) if getattr(args, key, None) is not None}
+    return replace(section, **changes) if changes else section
+
+
 def _load_base_config(args) -> RunConfig:
+    """The effective config: the INI file (or defaults), then the flags."""
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "seed", None) is not None:
         config = replace(config, rng_seed=args.seed)
     if getattr(args, "out", None):
         config = replace(config, out_dir=args.out)
-    return config.seeded()
+    if getattr(args, "mode", None):
+        config = replace(config, context=replace(config.context, **_MODES[args.mode]))
+    sections = {name: _override(getattr(config, name), args) for name in SECTIONS.values()}
+    return replace(config, **sections).seeded()
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -96,15 +107,9 @@ def _read_lines(path) -> list[list[str]]:
 
 def cmd_synth(args) -> int:
     config = _load_base_config(args)
-    spec = replace(
-        config.synth,
-        num_docs=args.num_docs if args.num_docs is not None else config.synth.num_docs,
-        units_per_doc=args.units_per_doc if args.units_per_doc is not None else config.synth.units_per_doc,
-        rng_seed=config.rng_seed,
-    )
     out = _out_dir(config)
     manifest = start_manifest("synth", config)
-    units = generate_synthetic_corpus(spec)
+    units = generate_synthetic_corpus(config.synth)
     paths = [out / (args.prefix + ext) for ext in (".src", ".trg", ".docs")]
     write_parallel_corpus(units, *paths)
     for p in paths:
@@ -114,20 +119,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _context_from_args(args, config: RunConfig) -> ContextConfig:
-    if args.mode:
-        return _MODES[args.mode]
-    return config.context
-
-
 def cmd_prepare(args) -> int:
     config = _load_base_config(args)
-    context = _context_from_args(args, config)
     src = args.source or config.source_path
     trg = args.target or config.target_path
     docs = args.docs or config.docs_path
     units = read_parallel_corpus(src, trg, docs)
-    examples = extend_corpus(units, context)
+    examples = extend_corpus(units, config.context)
     out = _out_dir(config)
     manifest = start_manifest("prepare", config)
     for p in (src, trg, docs):
@@ -146,8 +144,7 @@ def cmd_bpe_learn(args) -> int:
     lines = _read_lines(args.input[0])
     for extra in args.input[1:]:
         lines.extend(_read_lines(extra))
-    bpe = replace(config.bpe, num_merges=args.num_merges) if args.num_merges is not None else config.bpe
-    model = learn_bpe(word_frequencies(lines), bpe.num_merges)
+    model = learn_bpe(word_frequencies(lines, protection(config.context)), config.bpe.num_merges)
     out_model = Path(args.out_model)
     out_model.parent.mkdir(parents=True, exist_ok=True)
     save_bpe_model(model, out_model)
@@ -163,9 +160,9 @@ def cmd_bpe_learn(args) -> int:
 def cmd_bpe_apply(args) -> int:
     config = _load_base_config(args)
     model = load_bpe_model(args.model)
-    bpe = replace(config.bpe, vocab_threshold=args.vocab_threshold) if args.vocab_threshold is not None else config.bpe
+    protected = protection(config.context, model.eow_marker, model.join_marker)
     lines = _read_lines(args.input)
-    segmented = [apply_bpe_line(model, tokens, bpe.vocab_threshold) for tokens in lines]
+    segmented = [apply_bpe_line(model, tokens, config.bpe.vocab_threshold, protected) for tokens in lines]
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_lines(output, (" ".join(tokens) for tokens in segmented))
@@ -187,17 +184,6 @@ def _load_examples(src, trg, docs, meta):
 
 def cmd_train(args) -> int:
     config = _load_base_config(args)
-    hp = config.hyper
-    overrides = {}
-    for name in ("embed_dim", "hidden_dim", "attention_dim", "learning_rate", "batch_size", "epochs",
-                 "max_source_len", "max_target_len"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        hp = replace(hp, **overrides)
-    hp = replace(hp, rng_seed=config.rng_seed)
-
     src = args.source or config.source_path
     trg = args.target or config.target_path
     docs = args.docs or config.docs_path
@@ -205,8 +191,8 @@ def cmd_train(args) -> int:
 
     src_vocab = Vocabulary.build((e.source_tokens for e in examples), max_size=args.vocab_cap)
     trg_vocab = Vocabulary.build((e.target_tokens for e in examples), max_size=args.vocab_cap)
-    params = init_params(hp, src_vocab, trg_vocab)
-    result = train(params, examples, hp, savepoint_schedule=args.savepoints)
+    params = init_params(config.hyper, src_vocab, trg_vocab)
+    result = train(params, examples, config.hyper, savepoint_schedule=args.savepoints)
 
     out = _out_dir(config)
     manifest = start_manifest("train", config)
@@ -232,22 +218,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _beam_from_args(args, config: RunConfig) -> BeamConfig:
-    beam = config.beam
-    overrides = {}
-    for arg_name, field_name in (
-        ("beam_size", "beam_size"),
-        ("alpha", "length_norm_alpha"),
-        ("beta", "coverage_beta"),
-        ("max_len_factor", "max_len_factor"),
-        ("max_len_constant", "max_len_constant"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    return replace(beam, **overrides) if overrides else beam
-
-
 def cmd_translate(args) -> int:
     config = _load_base_config(args)
     models = as_ensemble([load_checkpoint(p) for p in args.checkpoint])
@@ -255,7 +225,7 @@ def cmd_translate(args) -> int:
     for path, vocab in zip(args.checkpoint[1:], vocabs[1:]):
         if vocab != vocabs[0]:  # members' output distributions are averaged id by id
             raise ConfigError("ensemble member %s has other vocabularies than %s" % (path, args.checkpoint[0]))
-    beam = _beam_from_args(args, config)
+    beam = config.beam
     src_lines = _read_lines(args.source)
 
     if args.meta:
@@ -343,17 +313,6 @@ def cmd_score(args) -> int:
 def cmd_attn_stats(args) -> int:
     config = _load_base_config(args)
     analysis = config.analysis
-    overrides = {}
-    if args.min_freq is not None:
-        overrides["min_freq"] = args.min_freq
-    if args.min_cases is not None:
-        overrides["min_cases"] = args.min_cases
-    if args.use_mass:
-        overrides["majority_use_mass"] = True
-    if args.model_kind:
-        overrides["model_kind"] = args.model_kind
-    if overrides:
-        analysis = replace(analysis, **overrides)
 
     exports = read_attention_records(args.attn)
     partitions = []
@@ -551,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta")
     p.add_argument("--prefix", default="hyp")
     p.add_argument("--beam-size", dest="beam_size", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--alpha", dest="length_norm_alpha", type=float)
+    p.add_argument("--beta", dest="coverage_beta", type=float)
     p.add_argument("--max-len-factor", dest="max_len_factor", type=float)
     p.add_argument("--max-len-constant", dest="max_len_constant", type=int)
     p.set_defaults(func=cmd_translate)
@@ -576,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-kind", dest="model_kind", choices=["2+1", "2+2"])
     p.add_argument("--min-freq", dest="min_freq", type=int)
     p.add_argument("--min-cases", dest="min_cases", type=int)
-    p.add_argument("--use-mass", dest="use_mass", action="store_true")
+    p.add_argument("--use-mass", dest="majority_use_mass", action="store_const", const=True)
     p.add_argument("--prefix", default="attn")
     p.set_defaults(func=cmd_attn_stats)
 

@@ -1,22 +1,25 @@
 """Run configuration (flat INI, one section per module) and the run manifest.
 
-The config file round-trips losslessly through save/load; every experiment
-writes a manifest (config snapshot, input checksums, toolkit version,
-checkpoints, timestamps) sufficient to re-execute the run.
+The config dataclasses' fields are the only schema: the INI keys of a section
+are the scalar fields of its dataclass, so the file round-trips losslessly
+through save/load and an unknown section or key is a ConfigError.  Every
+experiment writes a manifest (the effective config, input checksums, toolkit
+version, checkpoints, timestamps) sufficient to re-execute the run.
 """
 
 from __future__ import annotations
 
 import configparser
 import datetime
+import enum
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import ContextConfig, Marking, SynthSpec, read_text
+from .corpus import ContextConfig, SynthSpec, read_text
 from .decode import BeamConfig
 from .errors import ConfigError
 from .model import HyperParams
@@ -49,6 +52,10 @@ class RunConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
 
+    def __post_init__(self):
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
+
     def seeded(self) -> "RunConfig":
         """Propagate the master seed into the seeded sub-configs."""
         return replace(
@@ -58,115 +65,83 @@ class RunConfig:
         )
 
 
-def _context_to_ini(c: ContextConfig) -> dict:
-    return {
-        "source_window": str(c.source_window),
-        "target_window": str(c.target_window),
-        "marking": c.marking.value,
-        "context_prefix": c.context_prefix,
-        "break_token": c.break_token,
+# INI section -> the RunConfig field holding that section's dataclass.  The
+# keys of a section are the scalar fields of its dataclass; rng_seed is the
+# exception and lives only in [run].
+SECTIONS = {"context": "context", "bpe": "bpe", "model": "hyper", "beam": "beam", "analysis": "analysis",
+            "synth": "synth"}
+# [paths] key -> RunConfig field.
+PATHS = {"source": "source_path", "target": "target_path", "docs": "docs_path", "out_dir": "out_dir"}
+_SCALARS = (bool, int, float, str, enum.Enum)
+
+
+def section_fields(section) -> list[str]:
+    """The INI keys of one section's dataclass (class or instance)."""
+    return [f.name for f in fields(section) if f.name != "rng_seed" and isinstance(f.default, _SCALARS)]
+
+
+def _ini_values(config: RunConfig) -> dict[str, dict[str, object]]:
+    """Every INI section of `config` as {key: value}."""
+    sections = {
+        "paths": {key: getattr(config, name) for key, name in PATHS.items()},
+        "run": {"rng_seed": config.rng_seed},
     }
+    for section, name in SECTIONS.items():
+        sub = getattr(config, name)
+        sections[section] = {key: getattr(sub, key) for key in section_fields(sub)}
+    return sections
+
+
+def _parse(text: str, default):
+    """Parse `text` as the type of `default`: bools only True/False, enums by value."""
+    if isinstance(default, bool):
+        if text not in ("True", "False"):
+            raise ValueError("expected True or False, got %r" % text)
+        return text == "True"
+    return type(default)(text)
 
 
 def save_config(config: RunConfig, path):
-    parser = configparser.ConfigParser()
-    parser["paths"] = {
-        "source": config.source_path,
-        "target": config.target_path,
-        "docs": config.docs_path,
-        "out_dir": config.out_dir,
-    }
-    parser["run"] = {"rng_seed": str(config.rng_seed)}
-    parser["context"] = _context_to_ini(config.context)
-    parser["bpe"] = {
-        "num_merges": str(config.bpe.num_merges),
-        "vocab_threshold": str(config.bpe.vocab_threshold),
-    }
-    parser["model"] = {k: repr(v) if isinstance(v, float) else str(v) for k, v in asdict(config.hyper).items()}
-    parser["beam"] = {k: repr(v) if isinstance(v, float) else str(v) for k, v in asdict(config.beam).items()}
-    parser["analysis"] = {
-        "min_freq": str(config.analysis.min_freq),
-        "min_cases": str(config.analysis.min_cases),
-        "majority_use_mass": str(config.analysis.majority_use_mass),
-        "model_kind": config.analysis.model_kind,
-    }
-    parser["synth"] = {
-        "num_docs": str(config.synth.num_docs),
-        "units_per_doc": str(config.synth.units_per_doc),
-    }
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, values in _ini_values(config).items():
+        parser[section] = {key: v.value if isinstance(v, enum.Enum) else str(v) for key, v in values.items()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         parser.write(fh)
 
 
-def load_config(path, check_files: bool = False) -> RunConfig:
-    parser = configparser.ConfigParser()
-    text = read_text(path, ConfigError)
+def load_config(path) -> RunConfig:
+    """Read a config file; every key must be one that save_config writes."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text, source=str(path))
-        paths = parser["paths"] if "paths" in parser else {}
-        run = parser["run"] if "run" in parser else {}
-        ctx = parser["context"] if "context" in parser else {}
-        bpe = parser["bpe"] if "bpe" in parser else {}
-        model = parser["model"] if "model" in parser else {}
-        beam = parser["beam"] if "beam" in parser else {}
-        analysis = parser["analysis"] if "analysis" in parser else {}
-        synth = parser["synth"] if "synth" in parser else {}
-
-        config = RunConfig(
-            source_path=paths.get("source", ""),
-            target_path=paths.get("target", ""),
-            docs_path=paths.get("docs", ""),
-            out_dir=paths.get("out_dir", "out"),
-            rng_seed=int(run.get("rng_seed", "0")),
-            context=ContextConfig(
-                source_window=int(ctx.get("source_window", "0")),
-                target_window=int(ctx.get("target_window", "0")),
-                marking=Marking(ctx.get("marking", "break")),
-                context_prefix=ctx.get("context_prefix", "cc_"),
-                break_token=ctx.get("break_token", "_BREAK_"),
-            ),
-            bpe=BpeConfig(
-                num_merges=int(bpe.get("num_merges", "300")),
-                vocab_threshold=int(bpe.get("vocab_threshold", "0")),
-            ),
-            hyper=HyperParams(
-                embed_dim=int(model.get("embed_dim", "32")),
-                hidden_dim=int(model.get("hidden_dim", "48")),
-                attention_dim=int(model.get("attention_dim", "32")),
-                max_source_len=int(model.get("max_source_len", "100")),
-                max_target_len=int(model.get("max_target_len", "100")),
-                learning_rate=float(model.get("learning_rate", "0.003")),
-                batch_size=int(model.get("batch_size", "8")),
-                epochs=int(model.get("epochs", "5")),
-                rng_seed=int(model.get("rng_seed", "0")),
-            ),
-            beam=BeamConfig(
-                beam_size=int(beam.get("beam_size", "8")),
-                max_len_factor=float(beam.get("max_len_factor", "3.0")),
-                max_len_constant=int(beam.get("max_len_constant", "5")),
-                length_norm_alpha=float(beam.get("length_norm_alpha", "0.6")),
-                coverage_beta=float(beam.get("coverage_beta", "0.0")),
-            ),
-            analysis=AnalysisConfig(
-                min_freq=int(analysis.get("min_freq", "5")),
-                min_cases=int(analysis.get("min_cases", "5")),
-                majority_use_mass=analysis.get("majority_use_mass", "False") == "True",
-                model_kind=analysis.get("model_kind", "2+1"),
-            ),
-            synth=SynthSpec(
-                num_docs=int(synth.get("num_docs", "100")),
-                units_per_doc=int(synth.get("units_per_doc", "8")),
-                rng_seed=int(run.get("rng_seed", "0")),
-            ),
-        )
-    except (ValueError, KeyError, configparser.Error) as exc:
+        parser.read_string(read_text(path, ConfigError), source=str(path))
+    except configparser.Error as exc:
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
+    if parser.defaults():
+        raise ConfigError("%s: unknown section [%s]" % (path, parser.default_section))
+    default = RunConfig()
+    schema = _ini_values(default)
+    values: dict[str, dict] = {}
+    for section in parser.sections():
+        if section not in schema:
+            raise ConfigError("%s: unknown section [%s]" % (path, section))
+        values[section] = {}
+        for key, text in parser.items(section):
+            if key not in schema[section]:
+                raise ConfigError("%s: unknown key %r in [%s]" % (path, key, section))
+            try:
+                values[section][key] = _parse(text, schema[section][key])
+            except ValueError as exc:
+                raise ConfigError("%s: bad value for [%s] %s: %s" % (path, section, key, exc)) from exc
 
-    if check_files:
-        for p in (config.source_path, config.target_path, config.docs_path):
-            if p and not Path(p).exists():
-                raise ConfigError("configured file does not exist: %s" % p)
-    return config
+    top = {PATHS[key]: value for key, value in values.pop("paths", {}).items()}
+    top.update(values.pop("run", {}))
+    for section, changes in values.items():
+        name = SECTIONS[section]
+        try:
+            top[name] = replace(getattr(default, name), **changes)
+        except ConfigError as exc:
+            raise ConfigError("%s: [%s] %s" % (path, section, exc)) from exc
+    return replace(default, **top).seeded()
 
 
 def sha256_file(path) -> str:

@@ -14,6 +14,7 @@ constrains their generation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -47,8 +48,12 @@ class BeamConfig:
             raise ConfigError("beam_size must be >= 1")
         if not 0.0 <= self.length_norm_alpha <= 1.0:
             raise ConfigError("length normalization exponent must be in [0, 1]")
-        if self.coverage_beta < 0.0:
-            raise ConfigError("coverage penalty weight must be >= 0")
+        if not 0.0 <= self.coverage_beta < math.inf:
+            raise ConfigError("coverage_beta must be finite and >= 0")
+        if not 0.0 <= self.max_len_factor < math.inf:
+            raise ConfigError("max_len_factor must be finite and >= 0")
+        if self.max_len_constant < 0:
+            raise ConfigError("max_len_constant must be >= 0")
 
     def max_len(self, source_len: int) -> int:
         return int(self.max_len_factor * source_len) + self.max_len_constant

@@ -23,6 +23,7 @@ double precision.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -102,6 +103,8 @@ class HyperParams:
                 raise ConfigError("%s must be >= 1" % name)
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
 
 
 def _tensor_specs(hp: HyperParams, n_src: int, n_trg: int) -> list[tuple[str, tuple[int, ...]]]:

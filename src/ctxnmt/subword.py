@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, read_text
+from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, ContextConfig, read_text
 from .errors import ConfigError, MalformedSegmentationError
 
 DEFAULT_EOW_MARKER = "</w>"
@@ -187,15 +187,27 @@ def learn_bpe(
     )
 
 
-def default_protected(token: str, eow_marker: str = DEFAULT_EOW_MARKER, join_marker: str = DEFAULT_JOIN_MARKER) -> bool:
+def default_protected(
+    token: str,
+    eow_marker: str = DEFAULT_EOW_MARKER,
+    join_marker: str = DEFAULT_JOIN_MARKER,
+    break_token: str = DEFAULT_BREAK_TOKEN,
+    context_prefix: str = DEFAULT_CONTEXT_PREFIX,
+) -> bool:
     """Tokens apply_bpe must pass through unsegmented: the break token,
     context-prefixed tokens and tokens containing either marker."""
     return (
-        token == DEFAULT_BREAK_TOKEN
-        or token.startswith(DEFAULT_CONTEXT_PREFIX)
+        token == break_token
+        or token.startswith(context_prefix)
         or eow_marker in token
         or join_marker in token
     )
+
+
+def protection(context: ContextConfig, eow_marker: str = DEFAULT_EOW_MARKER, join_marker: str = DEFAULT_JOIN_MARKER):
+    """default_protected for the break token and context prefix of `context`."""
+    break_token, context_prefix = context.break_token, context.context_prefix
+    return lambda token: default_protected(token, eow_marker, join_marker, break_token, context_prefix)
 
 
 def _enforce_threshold(model: BpeModel, word: tuple[str, ...], threshold: int) -> tuple[str, ...]:
@@ -266,11 +278,11 @@ def apply_bpe(
     return pieces
 
 
-def apply_bpe_line(model: BpeModel, tokens: Sequence[str], vocab_threshold: int = 0) -> list[str]:
-    """Segment every token of a line, preserving order."""
+def apply_bpe_line(model: BpeModel, tokens: Sequence[str], vocab_threshold: int = 0, protected=None) -> list[str]:
+    """Segment every token of a line, preserving order; `protected` as in apply_bpe."""
     out: list[str] = []
     for tok in tokens:
-        out.extend(apply_bpe(model, tok, vocab_threshold))
+        out.extend(apply_bpe(model, tok, vocab_threshold, protected))
     return out
 
 

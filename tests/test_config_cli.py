@@ -1,5 +1,7 @@
 """Config round-trip, manifest, and CLI subcommand tests."""
 
+import argparse
+import dataclasses
 import json
 import os
 import random
@@ -14,16 +16,67 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxnmt
-from ctxnmt.cli import main
-from ctxnmt.config import AnalysisConfig, RunConfig, load_config, save_config, start_manifest
-from ctxnmt.corpus import ContextConfig, Marking
+from ctxnmt.cli import build_parser, main
+from ctxnmt.config import (
+    SECTIONS,
+    AnalysisConfig,
+    RunConfig,
+    load_config,
+    save_config,
+    section_fields,
+    start_manifest,
+)
+from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
 from ctxnmt.decode import BeamConfig
 from ctxnmt.errors import ConfigError
-from ctxnmt.model import HyperParams, Vocabulary, init_params, save_checkpoint
+from ctxnmt.model import HyperParams, Vocabulary, init_params, load_checkpoint, save_checkpoint
 from ctxnmt.rng import substream
 from ctxnmt.subword import BpeConfig, load_bpe_model
 
 DATA = Path(__file__).parent / "data"
+
+# No whitespace: the INI format strips it from the ends of a value.
+_TEXT = st.text(st.characters(min_codepoint=33, max_codepoint=0x2FFF,
+                              blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), max_size=12)
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    """RunConfigs with random values in every INI key and in the per-section seeds."""
+    marking = draw(st.sampled_from(Marking))
+    return RunConfig(
+        source_path=draw(_TEXT), target_path=draw(_TEXT), docs_path=draw(_TEXT), out_dir=draw(_TEXT),
+        rng_seed=draw(st.integers(0, 2**63)),
+        context=ContextConfig(
+            source_window=draw(st.integers(0, 9)),
+            target_window=draw(st.integers(0, 9)) if marking is Marking.BREAK else 0,
+            marking=marking,
+            context_prefix=draw(_TEXT.filter(bool)),
+            break_token=draw(_TEXT.filter(bool)),
+        ),
+        bpe=BpeConfig(num_merges=draw(st.integers(0, 10**6)), vocab_threshold=draw(st.integers(0, 10**6))),
+        hyper=HyperParams(
+            **{name: draw(st.integers(1, 10**4)) for name in ("embed_dim", "hidden_dim", "attention_dim",
+                                                            "max_source_len", "max_target_len", "batch_size")},
+            epochs=draw(st.integers(0, 100)),
+            learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, **_FINITE)),
+            rng_seed=draw(st.integers(0, 2**32)),
+        ),
+        beam=BeamConfig(
+            beam_size=draw(st.integers(1, 64)),
+            max_len_factor=draw(st.floats(min_value=0.0, **_FINITE)),
+            max_len_constant=draw(st.integers(0, 10**4)),
+            length_norm_alpha=draw(st.floats(0.0, 1.0)),
+            coverage_beta=draw(st.floats(min_value=0.0, **_FINITE)),
+        ),
+        analysis=AnalysisConfig(
+            min_freq=draw(st.integers(0, 99)), min_cases=draw(st.integers(0, 99)),
+            majority_use_mass=draw(st.booleans()), model_kind=draw(st.sampled_from(["2+1", "2+2"])),
+        ),
+        synth=SynthSpec(num_docs=draw(st.integers(0, 10**4)), units_per_doc=draw(st.integers(0, 99)),
+                        rng_seed=draw(st.integers(0, 2**32))),
+    )
 
 
 class TestRunConfig:
@@ -44,25 +97,26 @@ class TestRunConfig:
         )
         path = tmp_path / "run.ini"
         save_config(config, path)
-        loaded = load_config(path)
-        assert loaded.context == config.context
-        assert loaded.bpe == config.bpe
-        assert loaded.hyper == config.hyper
-        assert loaded.beam == config.beam
-        assert loaded.analysis == config.analysis
-        assert loaded.rng_seed == config.rng_seed
-        assert loaded.source_path == config.source_path
+        assert load_config(path) == config.seeded()  # [run] rng_seed is the only seed
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
-    def test_check_files(self, tmp_path):
-        config = RunConfig(source_path=str(tmp_path / "missing.src"))
-        path = tmp_path / "run.ini"
-        save_config(config, path)
-        with pytest.raises(ConfigError):
-            load_config(path, check_files=True)
+    @settings(max_examples=150, deadline=None)
+    @given(config=run_configs())
+    def test_round_trip_random_fields(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ini"
+            save_config(config, path)
+            assert load_config(path) == config.seeded()
+
+    def test_ini_keys_are_the_scalar_fields(self, tmp_path):
+        save_config(RunConfig(), tmp_path / "run.ini")
+        keys = [line.split(" = ")[0] for line in (tmp_path / "run.ini").read_text().splitlines() if " = " in line]
+        assert len(keys) == 31
+        assert "rng_seed" in keys and keys.count("rng_seed") == 1
+        assert "lexicon" not in keys and "pronoun_map" not in keys
 
     def test_seeded_propagates_master_seed(self):
         config = RunConfig(rng_seed=42).seeded()
@@ -185,6 +239,83 @@ class TestCli:
                      "--docs", str(bad / "x.docs"), "--mode", "2+2", "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "ini, named",
+        [
+            ("[model]\nhiden_dim = 64\n", "hiden_dim"),
+            ("[bpe]\nnum_merge = 5\n", "num_merge"),
+            ("[bpe]\njoint = True\n", "joint"),
+            ("[model]\nrng_seed = 3\n", "rng_seed"),
+            ("[analysis]\nmajority_use_mass = true\n", "majority_use_mass"),
+            ("[beam]\nbeam_size = 2.5\n", "beam_size"),
+            ("[context]\nmarking = prefixed\n", "marking"),
+            ("[contexts]\nsource_window = 1\n", "contexts"),
+            ("[DEFAULT]\nhidden_dim = 7\n", "DEFAULT"),
+        ],
+        ids=["typo", "typo-bpe", "legacy-joint", "section-seed", "lowercase-bool", "float-for-int",
+             "bad-enum", "unknown-section", "default-section"],
+    )
+    def test_config_outside_the_schema_is_config_error(self, tmp_path, capsys, ini, named):
+        (tmp_path / "run.ini").write_text(ini)
+        assert main(["synth", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path), "--num-docs", "1"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "synth.src").exists()
+
+    def test_flag_beats_ini_value(self, tmp_path):
+        (tmp_path / "run.ini").write_text("[synth]\nnum_docs = 5\nunits_per_doc = 2\n")
+        assert main(["synth", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path), "--num-docs", "3"]) == 0
+        assert len((tmp_path / "synth.docs").read_text().splitlines()) == 3 * 2
+        manifest = json.loads((tmp_path / "manifest-synth.json").read_text())
+        assert manifest["config"]["synth"]["num_docs"] == 3
+        assert manifest["config"]["synth"]["units_per_doc"] == 2
+
+    def test_every_config_flag_names_one_section_field(self):
+        """The generic override applies a flag to every section with a field of its
+        dest's name, so no such dest may name fields of two sections."""
+        defaults = RunConfig()
+        keys = {name: set(section_fields(getattr(defaults, name))) for name in SECTIONS.values()}
+        all_fields = {f.name for name in SECTIONS.values() for f in dataclasses.fields(getattr(defaults, name))}
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+        overrides = dests & all_fields
+        assert {"length_norm_alpha", "coverage_beta", "majority_use_mass", "hidden_dim", "num_docs"} <= overrides
+        for dest in overrides:
+            assert sum(dest in k for k in keys.values()) == 1, dest
+
+    def test_prepare_mode_keeps_configured_break_token(self, tmp_path):
+        (tmp_path / "run.ini").write_text("[context]\nbreak_token = _SEP_\n")
+        assert main(["prepare", "--config", str(tmp_path / "run.ini"), "--source", str(DATA / "mini.src"),
+                     "--target", str(DATA / "mini.trg"), "--docs", str(DATA / "mini.docs"), "--mode", "2+2",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "extended.src").read_text()
+        assert "_SEP_" in text and "_BREAK_" not in text
+        manifest = json.loads((tmp_path / "manifest-prepare.json").read_text())
+        assert manifest["config"]["context"] == {"source_window": 1, "target_window": 1, "marking": "break",
+                                                 "context_prefix": "cc_", "break_token": "_SEP_"}
+
+    def test_configured_missing_source_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.src"
+        save_config(RunConfig(source_path=str(missing), target_path=str(DATA / "mini.trg"),
+                              docs_path=str(DATA / "mini.docs")), tmp_path / "run.ini")
+        assert main(["prepare", "--config", str(tmp_path / "run.ini"), "--mode", "2+2", "--out", str(tmp_path)]) == 3
+        assert str(missing) in capsys.readouterr().err
+
+    def test_bpe_protection_follows_configured_context(self, tmp_path):
+        (tmp_path / "run.ini").write_text("[context]\nbreak_token = _SEP_\ncontext_prefix = ctx_\n")
+        lines = ["ctx_foo ctx_bar _SEP_ foo bar", "ctx_foo _SEP_ bar foo", "_SEP_ _SEP_ foo"] * 5
+        (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "codes.bpe"
+        common = ["--config", str(tmp_path / "run.ini")]
+        assert main(["bpe-learn", "--input", str(tmp_path / "in.txt"), "--num-merges", "20",
+                     "--out-model", str(model_path)] + common) == 0
+        model = load_bpe_model(model_path)
+        assert model.merges and not any("_" in piece for pair in model.merges for piece in pair)
+        assert main(["bpe-apply", "--model", str(model_path), "--input", str(tmp_path / "in.txt"),
+                     "--output", str(tmp_path / "seg.txt")] + common) == 0
+        segmented = (tmp_path / "seg.txt").read_text().split()
+        assert {"ctx_foo", "ctx_bar", "_SEP_"} <= set(segmented)
+        assert not any("_" in tok for tok in segmented if tok not in ("ctx_foo", "ctx_bar", "_SEP_"))
+
     def test_pronoun_eval_custom_classes(self, tmp_path):
         (tmp_path / "s.src").write_text("dann fiel sie .\n")
         (tmp_path / "s.ref").write_text("then he fell .\n")
@@ -283,6 +414,45 @@ class TestInputBoundaries:
         for row in rows[1:]:
             assert int(row[2]) == (2 + 1) + (1 + 1)  # both targets plus <eos> each
             assert 0.0 < float(row[3]) < float("inf")
+
+    def test_manifest_records_the_trained_hyperparameters(self, corpus):
+        d, _ = corpus
+        (d / "run.ini").write_text("[model]\nhidden_dim = 9\nepochs = 3\nembed_dim = 4\n")
+        train = ["train", "--config", str(d / "run.ini"), "--source", str(d / "in.src"), "--target", str(d / "in.trg"),
+                 "--docs", str(d / "in.docs"), "--out", str(d / "run"), "--hidden-dim", "7", "--epochs", "1",
+                 "--seed", "5"]
+        assert main(train) == 0
+        manifest = json.loads((d / "run" / "manifest-train.json").read_text())
+        params = load_checkpoint(manifest["checkpoints"][-1])
+        assert manifest["config"]["hyper"] == dataclasses.asdict(params.hyper)
+        assert (params.hyper.hidden_dim, params.hyper.epochs, params.hyper.embed_dim) == (7, 1, 4)
+        assert params.hyper.rng_seed == manifest["config"]["rng_seed"] == 5
+
+    @pytest.mark.parametrize(
+        "command, section, key, flag, value",
+        [("translate", "beam", "max_len_factor", "--max-len-factor", v) for v in ("nan", "inf", "-1")]
+        + [("translate", "beam", "max_len_constant", "--max-len-constant", "-1")]
+        + [("translate", "beam", "coverage_beta", "--beta", v) for v in ("nan", "inf", "-1")]
+        + [("train", "model", "learning_rate", "--learning-rate", v) for v in ("nan", "inf", "-1", "0")]
+        + [("synth", "run", "rng_seed", "--seed", "-1")],
+    )
+    @pytest.mark.parametrize("via", ["flag", "ini"])
+    def test_out_of_range_numbers_are_config_errors(self, corpus, capsys, command, section, key, flag, value, via):
+        d, _ = corpus
+        argv = {
+            "translate": ["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src")],
+            "train": ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"),
+                      "--docs", str(d / "in.docs"), "--epochs", "1"],
+            "synth": ["synth", "--num-docs", "1"],
+        }[command] + ["--out", str(d / "out")]
+        if via == "flag":
+            argv += [flag, value]
+        else:
+            (d / "run.ini").write_text("[%s]\n%s = %s\n" % (section, key, value))
+            argv += ["--config", str(d / "run.ini")]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not (d / "out").exists()
 
     def test_translate_threads_flag_removed(self, corpus):
         d, _ = corpus
