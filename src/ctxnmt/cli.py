@@ -302,8 +302,8 @@ def cmd_score(args) -> int:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(report, encoding="utf-8")
         manifest = start_manifest("score", config)
-        manifest.add_input(args.hyp)
-        manifest.add_input(args.ref)
+        for path in (args.hyp, args.ref, args.docs):
+            manifest.add_input(path)
         manifest.add_output(args.report)
         manifest.write(Path(args.report).with_suffix(".manifest.json"))
     sys.stdout.write(report)

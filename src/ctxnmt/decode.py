@@ -56,7 +56,12 @@ class BeamConfig:
             raise ConfigError("max_len_constant must be >= 0")
 
     def max_len(self, source_len: int) -> int:
-        return int(self.max_len_factor * source_len) + self.max_len_constant
+        limit = self.max_len_factor * source_len
+        if not math.isfinite(limit):
+            raise ConfigError(
+                "max_len_factor %g times a %d-token source is not finite" % (self.max_len_factor, source_len)
+            )
+        return int(limit) + self.max_len_constant
 
 
 @dataclass

@@ -18,11 +18,9 @@ def _ngrams_list(seq, n):
     return out
 
 
-def oracle_bleu(hypotheses, references):
-    """Corpus BLEU via literal clipped counting; returns the score in [0, 1]."""
-    hyp_len = 0
-    ref_len = 0
-    precisions = []
+def oracle_bleu_counts(hypotheses, references):
+    """(clipped matches, hypothesis n-grams) for n = 1..4 via literal counting."""
+    counts = []
     for n in (1, 2, 3, 4):
         total = 0
         match = 0
@@ -32,8 +30,15 @@ def oracle_bleu(hypotheses, references):
             total += len(hyp_ngrams)
             for gram in set(hyp_ngrams):
                 match += min(hyp_ngrams.count(gram), ref_ngrams.count(gram))
-        if total > 0:
-            precisions.append(match / total)
+        counts.append((match, total))
+    return counts
+
+
+def oracle_bleu(hypotheses, references):
+    """Corpus BLEU via literal clipped counting; returns the score in [0, 1]."""
+    hyp_len = 0
+    ref_len = 0
+    precisions = [match / total for match, total in oracle_bleu_counts(hypotheses, references) if total > 0]
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)

@@ -24,6 +24,7 @@ from ctxnmt.config import (
     load_config,
     save_config,
     section_fields,
+    sha256_file,
     start_manifest,
 )
 from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
@@ -225,6 +226,17 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "identity\t100.00\t100.00" in out
+
+    def test_score_manifest_records_every_input(self, tmp_path):
+        ref = tmp_path / "ref.trg"
+        ref.write_text((DATA / "mini.trg").read_text())
+        inputs = [DATA / "mini.src", ref, DATA / "mini.docs"]
+        for regime in ("plain", "extended"):
+            report = tmp_path / ("score-%s.tsv" % regime)
+            assert main(["score", "--hyp", str(inputs[0]), "--ref", str(inputs[1]), "--docs", str(inputs[2]),
+                         "--regime", regime, "--report", str(report)]) == 0
+            manifest = json.loads(report.with_suffix(".manifest.json").read_text())
+            assert manifest["input_checksums"] == {str(p): sha256_file(p) for p in inputs}
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["prepare", "--config", str(tmp_path / "none.ini"), "--mode", "2+2"]) == 2
@@ -430,7 +442,7 @@ class TestInputBoundaries:
 
     @pytest.mark.parametrize(
         "command, section, key, flag, value",
-        [("translate", "beam", "max_len_factor", "--max-len-factor", v) for v in ("nan", "inf", "-1")]
+        [("translate", "beam", "max_len_factor", "--max-len-factor", v) for v in ("nan", "inf", "-1", "1e308")]
         + [("translate", "beam", "max_len_constant", "--max-len-constant", "-1")]
         + [("translate", "beam", "coverage_beta", "--beta", v) for v in ("nan", "inf", "-1")]
         + [("train", "model", "learning_rate", "--learning-rate", v) for v in ("nan", "inf", "-1", "0")]

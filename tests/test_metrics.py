@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxnmt import metrics
+from ctxnmt.cli import main
 from ctxnmt.errors import InputError
 from ctxnmt.metrics import (
     CATEGORY_FEM_SINGULAR,
@@ -27,7 +29,7 @@ from ctxnmt.metrics import (
     score_extended,
 )
 
-from oracles import oracle_bleu, oracle_chi_square, oracle_chrf
+from oracles import oracle_bleu, oracle_bleu_counts, oracle_chi_square, oracle_chrf
 
 DATA = Path(__file__).parent / "data"
 
@@ -125,6 +127,54 @@ def test_bleu_appending_wrong_token_never_gains(corpus, extra):
     wrong = extra + "zzz"  # guaranteed absent from references
     degraded = [list(corpus[0]) + [wrong]] + [list(s) for s in corpus[1:]]
     assert bleu(degraded, corpus).score <= bleu(corpus, corpus).score
+
+
+# a multi-byte character, a combining mark and a character outside the BMP;
+# segments may be empty or shorter than every n-gram order
+rich_token_st = st.one_of(
+    st.sampled_from(["a", "é", "e\u0301", "\U0001D11E"]),
+    st.text(alphabet="ab\u00e9\u0301\U0001D11E", min_size=1, max_size=4),
+)
+rich_segment_st = st.lists(rich_token_st, max_size=6)
+rich_pairs_st = st.lists(st.tuples(rich_segment_st, rich_segment_st), max_size=8)
+
+
+@pytest.mark.parametrize("chunk_symbols", [None, 1, 5], ids=["default-chunks", "chunk-1", "chunk-5"])
+@settings(max_examples=150, deadline=None)
+@given(pairs=rich_pairs_st)
+def test_counts_match_oracles(chunk_symbols, pairs):
+    hyps = [hyp for hyp, _ in pairs]
+    refs = [ref for _, ref in pairs]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_symbols is not None:
+            mp.setattr(metrics, "_CHUNK_SYMBOLS", chunk_symbols)
+        b = bleu(hyps, refs)
+        c = chrf(hyps, refs)
+    score, precision, recall = oracle_chrf(hyps, refs)
+    assert c.score == pytest.approx(score, abs=1e-12)
+    assert c.precision == pytest.approx(precision, abs=1e-12)
+    assert c.recall == pytest.approx(recall, abs=1e-12)
+    assert b.score == pytest.approx(oracle_bleu(hyps, refs), abs=1e-12)
+    expected = [match / total if total else 0.0 for match, total in oracle_bleu_counts(hyps, refs)]
+    assert b.precisions == pytest.approx(expected, abs=1e-12)
+
+
+def test_score_reports_are_frozen(tmp_path, capsys):
+    pairs = [line.split("\t") for line in (DATA / "metric_pairs.tsv").read_text().splitlines()]
+    (tmp_path / "pairs.hyp").write_text("".join(h + "\n" for h, _ in pairs))
+    (tmp_path / "pairs.ref").write_text("".join(r + "\n" for _, r in pairs))
+    reversed_units = (DATA / "mini.trg").read_text().splitlines()[::-1]
+    (tmp_path / "mini.hyp").write_text("".join(line + "\n" for line in reversed_units))
+    assert main(["score", "--hyp", str(tmp_path / "pairs.hyp"), "--ref", str(tmp_path / "pairs.ref"),
+                 "--name", "pairs"]) == 0
+    assert main(["score", "--hyp", str(tmp_path / "mini.hyp"), "--ref", str(DATA / "mini.trg"),
+                 "--docs", str(DATA / "mini.docs"), "--regime", "extended", "--name", "mini-extended"]) == 0
+    assert capsys.readouterr().out == (
+        "system\tBLEU\tchrF3\tprecision\trecall\n"
+        "pairs\t45.33\t66.93\t73.33\t66.29\n"
+        "system\tBLEU\tchrF3\tprecision\trecall\n"
+        "mini-extended\t29.54\t43.12\t45.27\t42.89\n"
+    )
 
 
 class TestScoreExtended:
