@@ -277,9 +277,9 @@ def cmd_translate(args) -> int:
         manifest.add_input(p)
     manifest.add_output(trg_path)
     manifest.add_output(attn_path)
+    counters = manifest.counters = {"sentences": len(results), "truncated": sum(r.truncated for r in results)}
     manifest.write(out / ("manifest-translate-%s.json" % args.prefix))
-    truncated = sum(1 for r in results if r.truncated)
-    print("translate: %d sentences (%d truncated) -> %s" % (len(results), truncated, trg_path))
+    print("translate: %d sentences (%d truncated) -> %s" % (counters["sentences"], counters["truncated"], trg_path))
     return 0
 
 

@@ -159,6 +159,7 @@ class RunManifest:
     input_checksums: dict[str, str] = field(default_factory=dict)
     output_checksums: dict[str, str] = field(default_factory=dict)
     checkpoints: list[str] = field(default_factory=list)
+    counters: dict[str, int] = field(default_factory=dict)
     toolkit_version: str = __version__
     started: str = ""
     finished: str = ""

@@ -42,12 +42,16 @@ class TranslationUnit:
     index_in_doc: int
 
     def __post_init__(self):
-        for tok in self.source_tokens + self.target_tokens:
-            if not tok or any(c.isspace() for c in tok):
-                raise MalformedCorpusError(
-                    "token %r is empty or contains whitespace (doc %s, unit %d)"
-                    % (tok, self.doc_id, self.index_in_doc)
-                )
+        tokens = self.source_tokens + self.target_tokens
+        # str.split() splits at exactly the characters for which isspace() is
+        # true, so this holds iff no token is empty or contains whitespace.
+        if " ".join(tokens).split() != list(tokens):
+            for tok in tokens:
+                if not tok or any(c.isspace() for c in tok):
+                    raise MalformedCorpusError(
+                        "token %r is empty or contains whitespace (doc %s, unit %d)"
+                        % (tok, self.doc_id, self.index_in_doc)
+                    )
         if self.index_in_doc < 0:
             raise MalformedCorpusError(
                 "negative index_in_doc in doc %s" % self.doc_id

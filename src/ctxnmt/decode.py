@@ -56,6 +56,8 @@ class BeamConfig:
             raise ConfigError("max_len_constant must be >= 0")
 
     def max_len(self, source_len: int) -> int:
+        """The step budget for a source; the search also stops after its
+        members' max_target_len steps (see beam_search)."""
         limit = self.max_len_factor * source_len
         if not math.isfinite(limit):
             raise ConfigError(
@@ -151,6 +153,9 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesi
     Each step advances all live hypotheses as one batch.  Every live
     hypothesis offers its top beam_size tokens; the finished hypotheses plus
     these expansions are sorted stably by score and the best beam_size kept.
+    The search takes at most config.max_len(len(source_ids)) steps, and at
+    most the smallest max_target_len of the members: the longest target
+    (<eos> included) that training accepts.
     """
     models = as_ensemble(params_or_ensemble)
     states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
@@ -159,7 +164,7 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesi
     )
     beams = [start]
 
-    for _ in range(config.max_len(len(source_ids))):
+    for _ in range(min(config.max_len(len(source_ids)), *(m.hyper.max_target_len for m in models))):
         live = [h for h in beams if not h.finished]
         if not live:
             break

@@ -8,12 +8,14 @@ projection.
 
 Training runs masked minibatches: each step pads its examples to (B, S)
 sources and (B, T) targets and makes one forward and one backward pass over
-the whole batch.  Length masks keep padding out of everything: padded source
-positions carry the encoder state through and get attention weight 0, the
-decoder-init mean covers real positions only, and padded target positions
-have loss weight 0, so no gradient flows from or into padding.  Decoding
-encodes through the same code as a batch of one.  Runs are single-threaded
-and bit-reproducible for a given seed.
+the whole batch.  Length masks keep padding out of everything: padding
+zeroes the recurrent state and gets attention weight 0, the decoder-init
+mean covers real positions only, and padded target positions have loss
+weight 0, so no gradient flows from or into padding.  One LSTM step serves
+the encoder, the decoder and incremental decoding; the encoder's two
+directions step together as one recurrence.  Decoding encodes through the
+same code as a batch of one.  Runs are single-threaded and bit-reproducible
+for a given seed.
 
 backward() implements exact analytic backpropagation through the whole
 computation; grad_check() verifies it against central finite differences in
@@ -22,6 +24,7 @@ double precision.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -202,10 +205,6 @@ class AttentionRecord:
 # Numerics
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def softmax(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -217,68 +216,112 @@ def _flat(x):
     return x.reshape(-1, x.shape[-1])
 
 
-def _lstm_step(zx, Wh, h_prev, c_prev):
-    """One LSTM step for a state (H,) or a batch of states (B, H); zx is the
-    input's share of the gate pre-activations, x @ Wx + b."""
-    hdim = h_prev.shape[-1]
-    z = zx + h_prev @ Wh
-    gates = _sigmoid(z)
-    i, f, o = gates[..., :hdim], gates[..., hdim : 2 * hdim], gates[..., 3 * hdim :]
-    g = np.tanh(z[..., 2 * hdim : 3 * hdim])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (h_prev, c_prev, i, f, g, o, tc)
+@functools.cache
+def _gate_affine(hdim, dtype):
+    """Read-only (scale, shift) over the 4H gate columns i, f, g, o:
+    sigmoid(z) = 0.5 tanh(0.5 z) + 0.5 on i, f and o, and tanh(z) on g."""
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hdim)
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
-def _lstm_backward(Wh, cache, dh, dc):
-    """Backward through one step of (B, H) rows: returns the gradients of the
-    gate pre-activations (B, 4H), of h_prev and of c_prev."""
-    h_prev, c_prev, i, f, g, o, tc = cache
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    dz = np.concatenate(
-        [dc_total * g * i * (1 - i), dc_total * c_prev * f * (1 - f), dc_total * i * (1 - g * g), dh * tc * o * (1 - o)],
-        axis=-1,
-    )
-    return dz, dz @ Wh.T, dc_total * f
+def _lstm_cell(zs, c_prev, mask=None, out=None):
+    """One LSTM step of states (..., H) from zs = z * scale, the gate
+    pre-activations z = x Wx + b + h_prev Wh (..., 4H), ordered i, f, g, o,
+    times _gate_affine's scale.  c = (f c_prev + i g) * mask and h = o
+    tanh(c), so a row with mask 0 gets the state 0 (no mask: every row is
+    real).  Returns (h, c, gates (..., 4H), tanh(c)); out = (gates, c,
+    tanh_c, h) receives the results instead of new arrays."""
+    gates, c, tc, h = out or (None,) * 4
+    hdim = c_prev.shape[-1]
+    scale, shift = _gate_affine(hdim, zs.dtype)
+    gates = np.tanh(zs, out=gates)
+    gates *= scale
+    gates += shift
+    c = np.multiply(gates[..., hdim : 2 * hdim], c_prev, out=c)
+    c += gates[..., :hdim] * gates[..., 2 * hdim : 3 * hdim]
+    if mask is not None:
+        c *= mask
+    tc = np.tanh(c, out=tc)
+    return np.multiply(gates[..., 3 * hdim :], tc, out=h), c, gates, tc
 
 
-def _run_lstm(t, cell, X, mask, h, c, reverse=False):
-    """Run LSTM `cell` over time-major inputs X (T, B, E) from states h, c
-    (B, H).  Where mask (T, B, 1) is False a row keeps its state and outputs
-    zero.  Returns the outputs (T, B, H) and the cache for _run_lstm_backward."""
-    Wh = t[cell + "_Wh"]
-    ZX = (_flat(X) @ t[cell + "_Wx"] + t[cell + "_b"]).reshape(X.shape[:2] + (-1,))
-    out = np.empty(X.shape[:2] + h.shape[-1:], dtype=h.dtype)
-    steps = [None] * len(X)
-    order = range(len(X) - 1, -1, -1) if reverse else range(len(X))
-    for s in order:
-        h_new, c_new, steps[s] = _lstm_step(ZX[s], Wh, h, c)
-        out[s] = h_new * mask[s]
-        h = np.where(mask[s], h_new, h)
-        c = np.where(mask[s], c_new, c)
-    return out, (cell, X, mask, order, steps)
+def _run_lstm(ZXs, Wh, mask, h, c):
+    """Run the recurrence over time-major input pre-activations ZXs (T, ...,
+    4H), scaled as by _project, from states h, c (..., H).  Wh is (H, 4H), or
+    a stack (D, H, 4H) that steps D independent cells over ZXs (T, D, B, 4H)
+    as one batched matmul.  Where mask (T, ..., 1) is 0 the state becomes 0.
+    Returns the states (T, ..., H) and the cache for _run_lstm_backward."""
+    gates = np.empty_like(ZXs)
+    TC = np.empty(ZXs.shape[:-1] + h.shape[-1:], dtype=ZXs.dtype)
+    # C[s + 1] and H[s + 1] are the states after step s
+    C, H = np.empty((2, len(ZXs) + 1) + h.shape, dtype=ZXs.dtype)
+    C[0], H[0] = c, h
+    mask = np.repeat(mask.astype(ZXs.dtype), h.shape[-1], axis=-1)  # full rows multiply faster
+    Whs = Wh * _gate_affine(h.shape[-1], Wh.dtype)[0]
+    for s in range(len(ZXs)):
+        h, c, _, _ = _lstm_cell(ZXs[s] + h @ Whs, c, mask[s], (gates[s], C[s + 1], TC[s], H[s + 1]))
+    return H[1:], (Wh, mask, gates, C, TC, H)
 
 
-def _run_lstm_backward(t, cache, d_out, grads):
-    """Backward through a _run_lstm call given the gradients of its outputs:
-    adds the cell's weight gradients to `grads` and returns the gradients of
-    the inputs (T, B, E) and of the initial h (B, H)."""
-    cell, X, mask, order, steps = cache
-    Wh = t[cell + "_Wh"]
-    dZ = np.empty(X.shape[:2] + Wh.shape[1:], dtype=X.dtype)
-    dh = np.zeros_like(steps[0][0])
-    dc = np.zeros_like(dh)
-    for s in reversed(order):
-        m = mask[s]
-        dZ[s], dh_prev, dc_prev = _lstm_backward(Wh, steps[s], (dh + d_out[s]) * m, dc * m)
-        dh = np.where(m, dh_prev, dh)
-        dc = np.where(m, dc_prev, dc)
-    h_prev = np.stack([step[0] for step in steps])
-    grads[cell + "_Wx"] += _flat(X).T @ _flat(dZ)
-    grads[cell + "_Wh"] += _flat(h_prev).T @ _flat(dZ)
-    grads[cell + "_b"] += _flat(dZ).sum(axis=0)
-    return dZ @ t[cell + "_Wx"].T, dh
+def _run_lstm_backward(cache, d_out):
+    """Backward through a _run_lstm call given the gradients of its states
+    (T, ..., H).  Returns the gradients of the unscaled gate pre-activations
+    (T, ..., 4H), of the initial h (..., H) and of Wh (shaped like Wh)."""
+    Wh, mask, gates, C, TC, H = cache
+    hdim = H.shape[-1]
+    # Every factor that does not depend on the incoming gradient, for all T
+    # at once: dc += dh * A, du = dc * mask, dz_{i,f,g} = du * K[:3],
+    # dz_o = dh * K[3] and dc_prev = du * f.
+    i, f, g, o = (gates[..., k * hdim : (k + 1) * hdim] for k in range(4))
+    A = o * (1.0 - TC * TC)
+    K = gates * (1.0 - gates)  # sigmoid' on the i, f, o columns
+    K[..., :hdim] *= g
+    K[..., hdim : 2 * hdim] *= C[:-1]
+    np.multiply(i, 1.0 - g * g, out=K[..., 2 * hdim : 3 * hdim])
+    K[..., 3 * hdim :] *= TC
+    K = K.reshape(TC.shape[:-1] + (4, hdim))
+    K3, Ko = K[..., :3, :], K[..., 3, :]
+
+    dZ = np.empty_like(K)
+    dZ3, dZo = dZ[..., :3, :], dZ[..., 3, :]
+    dZ = dZ.reshape(gates.shape)
+    WhT = np.ascontiguousarray(np.swapaxes(Wh, -1, -2))
+    dh = np.zeros_like(H[0])
+    dc = np.zeros_like(C[0])
+    dc3 = dc[..., None, :]  # dc is only updated in place
+    for s in range(len(dZ) - 1, -1, -1):
+        dh += d_out[s]
+        dc += dh * A[s]
+        dc *= mask[s]
+        np.multiply(dc3, K3[s], out=dZ3[s])
+        np.multiply(dh, Ko[s], out=dZo[s])
+        np.matmul(dZ[s], WhT, out=dh)
+        dc *= f[s]
+
+    # dWh sums h_prev^T dz over time and batch, separately per stacked cell
+    lead = Wh.shape[:-2]
+    h_prev = H[:-1].swapaxes(0, len(lead)).reshape(lead + (-1, hdim))
+    dz = dZ.swapaxes(0, len(lead)).reshape(lead + (-1, dZ.shape[-1]))
+    return dZ, dh, np.swapaxes(h_prev, -1, -2) @ dz
+
+
+def _project(t, cell, X):
+    """Input share of a cell's gate pre-activations times the gate scale,
+    (x Wx + b) * scale, for X (..., E).  Halving columns is exact, so this is
+    x (Wx scale) + b scale bit for bit, and so is adding h (Wh scale)."""
+    scale, _ = _gate_affine(t[cell + "_b"].size // 4, X.dtype)
+    return (_flat(X) @ (t[cell + "_Wx"] * scale) + t[cell + "_b"] * scale).reshape(X.shape[:-1] + (-1,))
+
+
+def _project_backward(t, cell, X, dZ, grads):
+    """Adds the gradients of Wx and b to grads given dZ, those of the
+    unscaled pre-activations x Wx + b; returns dX."""
+    dZ = _flat(dZ)
+    grads[cell + "_Wx"] += _flat(X).T @ dZ
+    grads[cell + "_b"] += dZ.sum(axis=0)
+    return (dZ @ t[cell + "_Wx"].T).reshape(X.shape)
 
 
 def _validate_ids(ids, vocab_size, what):
@@ -326,15 +369,34 @@ def _target_batch(params: ModelParams, targets):
 
 def _encode(params: ModelParams, src_ids, src_mask):
     """Bidirectional encoding of a padded batch (B, S): states (B, S, 2H),
-    zero at padding, and the cache for _backward."""
+    zero at padding, and the cache for _encode_backward.  Both directions
+    step together: row 0 of the stacked recurrence reads positions 0..S-1,
+    row 1 reads S-1..0, so right padding gives the reverse direction the zero
+    state it starts from."""
     t = params.tensors
     X = t["src_embed"][src_ids.T]
     mask = src_mask.T[..., None]
-    zero = np.zeros((len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
-    fwd, fwd_cache = _run_lstm(t, "enc_fwd", X, mask, zero, zero)
-    bwd, bwd_cache = _run_lstm(t, "enc_bwd", X, mask, zero, zero, reverse=True)
-    states = np.ascontiguousarray(np.concatenate([fwd, bwd], axis=-1).transpose(1, 0, 2))
-    return states, (fwd_cache, bwd_cache)
+    ZX = np.stack([_project(t, "enc_fwd", X), _project(t, "enc_bwd", X)[::-1]], axis=1)
+    Wh = np.stack([t["enc_fwd_Wh"], t["enc_bwd_Wh"]])
+    zero = np.zeros((2, len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
+    out, cache = _run_lstm(ZX, Wh, np.stack([mask, mask[::-1]], axis=1), zero, zero)
+    states = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1).transpose(1, 0, 2)
+    return np.ascontiguousarray(states), (src_ids, src_mask, X, cache)
+
+
+def _encode_backward(params: ModelParams, cache, d_states, grads):
+    """Adds the encoder's and source embeddings' gradients, given those of
+    _encode's states (B, S, 2H), to grads."""
+    t = params.tensors
+    src_ids, src_mask, X, lstm_cache = cache
+    hdim = params.hyper.hidden_dim
+    d_out = d_states.transpose(1, 0, 2)
+    dZ, _, dWh = _run_lstm_backward(lstm_cache, np.stack([d_out[..., :hdim], d_out[::-1, :, hdim:]], axis=1))
+    grads["enc_fwd_Wh"] += dWh[0]
+    grads["enc_bwd_Wh"] += dWh[1]
+    dX = _project_backward(t, "enc_fwd", X, dZ[:, 0], grads) + _project_backward(t, "enc_bwd", X, dZ[::-1, 1], grads)
+    mask = src_mask.T
+    np.add.at(grads["src_embed"], src_ids.T[mask], dX[mask])
 
 
 def encode(params: ModelParams, source_ids) -> np.ndarray:
@@ -411,10 +473,32 @@ def decode_step(params: ModelParams, state: DecoderState, prev_ids):
     """Advance every row one step, feeding prev_ids (K,); returns (new_state,
     log_probs (K, V), attention_weights (K, S))."""
     t = params.tensors
-    zx = t["trg_embed"][prev_ids] @ t["dec_Wx"] + t["dec_b"]
-    h, c, _ = _lstm_step(zx, t["dec_Wh"], state.h, state.c)
+    z = t["trg_embed"][prev_ids] @ t["dec_Wx"] + t["dec_b"] + state.h @ t["dec_Wh"]
+    scale, _ = _gate_affine(params.hyper.hidden_dim, z.dtype)
+    h, c, _, _ = _lstm_cell(z * scale, state.c)
     log_probs, a, _ = _output_layer(params, h, state.encoder_states, state.enc_proj)
     return DecoderState(h, c, state.encoder_states, state.enc_proj), log_probs, a
+
+
+def _run_decoder(params: ModelParams, dec_in, trg_mask, s0, c0):
+    """Teacher-forced decoder states (B, T, H) for inputs dec_in (B, T) from
+    s0, c0 (B, H), zero at padding, and the cache for _run_decoder_backward."""
+    t = params.tensors
+    E = t["trg_embed"][dec_in.T]
+    states, cache = _run_lstm(_project(t, "dec", E), t["dec_Wh"], trg_mask.T[..., None], s0, c0)
+    return states.transpose(1, 0, 2), (dec_in, trg_mask, E, cache)
+
+
+def _run_decoder_backward(params: ModelParams, cache, d_states, grads):
+    """Adds the decoder's and target embeddings' gradients, given those of
+    _run_decoder's states (B, T, H), to grads; returns the gradient of s0."""
+    dec_in, trg_mask, E, lstm_cache = cache
+    dZ, ds0, dWh = _run_lstm_backward(lstm_cache, d_states.transpose(1, 0, 2))
+    grads["dec_Wh"] += dWh
+    dE = _project_backward(params.tensors, "dec", E, dZ, grads)
+    mask = trg_mask.T
+    np.add.at(grads["trg_embed"], dec_in.T[mask], dE[mask])
+    return ds0
 
 
 def _forward(params: ModelParams, sources, targets):
@@ -431,8 +515,7 @@ def _forward(params: ModelParams, sources, targets):
     enc_proj = enc_states @ t["attn_W_enc"]
     n_src = src_mask.sum(axis=1, keepdims=True).astype(params.dtype)
     s0, c0, init_cache = _init_decoder(params, enc_states, n_src)
-    states, dec_cache = _run_lstm(t, "dec", t["trg_embed"][dec_in.T], trg_mask.T[..., None], s0, c0)
-    states = states.transpose(1, 0, 2)  # (B, T, H)
+    states, dec_cache = _run_decoder(params, dec_in, trg_mask, s0, c0)
     log_probs, _, out_cache = _output_layer(params, states, enc_states, enc_proj[:, None], src_mask[:, None, :])
 
     # token weight 1 / (T_b * B) on real positions, 0 on padding
@@ -443,9 +526,7 @@ def _forward(params: ModelParams, sources, targets):
     cache = {
         "src_ids": src_ids,
         "src_mask": src_mask,
-        "dec_in": dec_in,
         "predict": predict,
-        "trg_mask": trg_mask,
         "weights": weights,
         "enc_states": enc_states,
         "enc": enc_cache,
@@ -489,7 +570,6 @@ def backward(params: ModelParams, sources, targets):
 
 def _backward(params: ModelParams, cache):
     t = params.tensors
-    hdim = params.hyper.hidden_dim
     grads = params.zero_grads()
     enc_states = cache["enc_states"]
     states = cache["states"]
@@ -526,10 +606,7 @@ def _backward(params: ModelParams, cache):
     grads["attn_W_dec"] += _flat(states).T @ _flat(dq)
     ds += dq @ t["attn_W_dec"].T
 
-    # decoder recurrence
-    d_dec_in, ds0 = _run_lstm_backward(t, cache["dec"], ds.transpose(1, 0, 2), grads)
-    trg_mask = cache["trg_mask"].T
-    np.add.at(grads["trg_embed"], cache["dec_in"].T[trg_mask], d_dec_in[trg_mask])
+    ds0 = _run_decoder_backward(params, cache["dec"], ds, grads)
 
     # decoder init projection: s0 = tanh(hbar @ W + b), hbar = masked mean of enc_states
     hbar, s0 = cache["init"]
@@ -539,13 +616,7 @@ def _backward(params: ModelParams, cache):
     grads["dec_init_b"] += dpre0.sum(axis=0)
     d_enc += ((dpre0 @ t["dec_init_W"].T) / cache["n_src"])[:, None, :] * src_mask[..., None]
 
-    # encoder BPTT
-    fwd_cache, bwd_cache = cache["enc"]
-    d_enc = d_enc.transpose(1, 0, 2)
-    dx_fwd, _ = _run_lstm_backward(t, fwd_cache, d_enc[..., :hdim], grads)
-    dx_bwd, _ = _run_lstm_backward(t, bwd_cache, d_enc[..., hdim:], grads)
-    src_mask = src_mask.T
-    np.add.at(grads["src_embed"], cache["src_ids"].T[src_mask], (dx_fwd + dx_bwd)[src_mask])
+    _encode_backward(params, cache["enc"], d_enc, grads)
     return grads
 
 

@@ -9,6 +9,8 @@ import math
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
+
 
 def _ngrams_list(seq, n):
     out = []
@@ -272,3 +274,111 @@ def oracle_learn_bpe(word_frequencies, num_merges, eow_marker, join_marker):
         for piece in _emit(word, eow_marker, join_marker):
             counts[piece] += count
     return SimpleNamespace(merges=tuple(merges), subword_vocab=dict(counts))
+
+
+# LSTM recurrences: one loop per direction, and np.where keeps a padded row's
+# state where model.py zeroes it.  The oracle_* stand-ins replace model's
+# _encode/_run_decoder pairs, so backward() can run on them.
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def oracle_lstm_step(zx, Wh, h_prev, c_prev):
+    """One LSTM step for a batch of states (B, H); zx = x @ Wx + b."""
+    hdim = h_prev.shape[-1]
+    z = zx + h_prev @ Wh
+    gates = _sigmoid(z)
+    i, f, o = gates[..., :hdim], gates[..., hdim : 2 * hdim], gates[..., 3 * hdim :]
+    g = np.tanh(z[..., 2 * hdim : 3 * hdim])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (h_prev, c_prev, i, f, g, o, tc)
+
+
+def _lstm_step_backward(Wh, cache, dh, dc):
+    h_prev, c_prev, i, f, g, o, tc = cache
+    dc_total = dc + dh * o * (1.0 - tc * tc)
+    dz = np.concatenate(
+        [dc_total * g * i * (1 - i), dc_total * c_prev * f * (1 - f), dc_total * i * (1 - g * g), dh * tc * o * (1 - o)],
+        axis=-1,
+    )
+    return dz, dz @ Wh.T, dc_total * f
+
+
+def _run_cell(t, cell, X, mask, h, c, reverse=False):
+    """One direction over time-major X (T, B, E); where mask (T, B, 1) is
+    False a row keeps its state and outputs zero."""
+    Wh = t[cell + "_Wh"]
+    ZX = (X.reshape(-1, X.shape[-1]) @ t[cell + "_Wx"] + t[cell + "_b"]).reshape(X.shape[:2] + (-1,))
+    out = np.empty(X.shape[:2] + h.shape[-1:], dtype=h.dtype)
+    steps = [None] * len(X)
+    order = range(len(X) - 1, -1, -1) if reverse else range(len(X))
+    for s in order:
+        h_new, c_new, steps[s] = oracle_lstm_step(ZX[s], Wh, h, c)
+        out[s] = h_new * mask[s]
+        h = np.where(mask[s], h_new, h)
+        c = np.where(mask[s], c_new, c)
+    return out, (cell, X, mask, order, steps)
+
+
+def _run_cell_backward(t, cache, d_out, grads):
+    """Returns the gradients of the inputs (T, B, E) and of the initial h."""
+    cell, X, mask, order, steps = cache
+    Wh = t[cell + "_Wh"]
+    dZ = np.empty(X.shape[:2] + Wh.shape[1:], dtype=X.dtype)
+    dh = np.zeros_like(steps[0][0])
+    dc = np.zeros_like(dh)
+    for s in reversed(order):
+        m = mask[s]
+        dZ[s], dh_prev, dc_prev = _lstm_step_backward(Wh, steps[s], (dh + d_out[s]) * m, dc * m)
+        dh = np.where(m, dh_prev, dh)
+        dc = np.where(m, dc_prev, dc)
+    h_prev = np.stack([step[0] for step in steps])
+    flat_dZ = dZ.reshape(-1, dZ.shape[-1])
+    grads[cell + "_Wx"] += X.reshape(-1, X.shape[-1]).T @ flat_dZ
+    grads[cell + "_Wh"] += h_prev.reshape(-1, h_prev.shape[-1]).T @ flat_dZ
+    grads[cell + "_b"] += flat_dZ.sum(axis=0)
+    return dZ @ t[cell + "_Wx"].T, dh
+
+
+def oracle_encode(params, src_ids, src_mask):
+    """Stand-in for model._encode: each direction is its own loop over time."""
+    t = params.tensors
+    X = t["src_embed"][src_ids.T]
+    mask = src_mask.T[..., None]
+    zero = np.zeros((len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
+    fwd, fwd_cache = _run_cell(t, "enc_fwd", X, mask, zero, zero)
+    bwd, bwd_cache = _run_cell(t, "enc_bwd", X, mask, zero, zero, reverse=True)
+    states = np.ascontiguousarray(np.concatenate([fwd, bwd], axis=-1).transpose(1, 0, 2))
+    return states, (src_ids, src_mask, fwd_cache, bwd_cache)
+
+
+def oracle_encode_backward(params, cache, d_states, grads):
+    """Stand-in for model._encode_backward."""
+    t = params.tensors
+    src_ids, src_mask, fwd_cache, bwd_cache = cache
+    hdim = params.hyper.hidden_dim
+    d_out = d_states.transpose(1, 0, 2)
+    dx_fwd, _ = _run_cell_backward(t, fwd_cache, d_out[..., :hdim], grads)
+    dx_bwd, _ = _run_cell_backward(t, bwd_cache, d_out[..., hdim:], grads)
+    mask = src_mask.T
+    np.add.at(grads["src_embed"], src_ids.T[mask], (dx_fwd + dx_bwd)[mask])
+
+
+def oracle_run_decoder(params, dec_in, trg_mask, s0, c0):
+    """Stand-in for model._run_decoder."""
+    t = params.tensors
+    states, cache = _run_cell(t, "dec", t["trg_embed"][dec_in.T], trg_mask.T[..., None], s0, c0)
+    return states.transpose(1, 0, 2), (dec_in, trg_mask, cache)
+
+
+def oracle_run_decoder_backward(params, cache, d_states, grads):
+    """Stand-in for model._run_decoder_backward."""
+    dec_in, trg_mask, lstm_cache = cache
+    d_in, ds0 = _run_cell_backward(params.tensors, lstm_cache, d_states.transpose(1, 0, 2), grads)
+    mask = trg_mask.T
+    np.add.at(grads["trg_embed"], dec_in.T[mask], d_in[mask])
+    return ds0

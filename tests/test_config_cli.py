@@ -364,6 +364,16 @@ class TestInputBoundaries:
         assert self.translate(d, d / "model.ckpt", d / "in.meta") == 0
         assert "<pad>" not in (d / "out" / "hyp.trg").read_text()
 
+    def test_huge_max_len_factor_stops_at_max_target_len(self, corpus):
+        d, params = corpus
+        argv = ["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
+                "--out", str(d / "out"), "--max-len-factor", "1e6", "--beam-size", "1", "--alpha", "0"]
+        assert main(argv) == 0
+        lines = (d / "out" / "hyp.trg").read_text().splitlines()
+        assert [len(line.split()) for line in lines] == [params.hyper.max_target_len] * 2
+        manifest = json.loads((d / "out" / "manifest-translate-hyp.json").read_text())
+        assert manifest["counters"] == {"sentences": 2, "truncated": 2}
+
     @pytest.mark.parametrize("damage", ["truncated", "trailing", "bad-utf8", "bad-json", "missing"])
     def test_damaged_checkpoint_is_config_error(self, corpus, damage):
         d, _ = corpus

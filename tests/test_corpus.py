@@ -135,6 +135,19 @@ class TestExtendCorpus:
         with pytest.raises(MalformedCorpusError):
             extend_corpus(units, BREAK_21)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab\u00e9 \t\n\x1c\x85\xa0\u1680\u2028\u3000\u200b"), max_size=3),
+                    max_size=4),
+           st.lists(st.text(st.sampled_from("xy\u2029\x0b"), max_size=2), max_size=3))
+    def test_token_check_matches_per_character_rule(self, source, target):
+        bad = [tok for tok in source + target if not tok or any(c.isspace() for c in tok)]
+        if not bad:
+            TranslationUnit(tuple(source), tuple(target), "d", 0)
+            return
+        with pytest.raises(MalformedCorpusError) as err:
+            TranslationUnit(tuple(source), tuple(target), "d", 0)
+        assert repr(bad[0]) in str(err.value)
+
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
             ContextConfig(source_window=1, target_window=1, marking=Marking.PREFIX)

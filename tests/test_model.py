@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ctxnmt import model
 from ctxnmt.corpus import ContextConfig, Marking, TranslationUnit, extend_corpus
 from ctxnmt.errors import InputError
 from ctxnmt.model import (
@@ -14,20 +15,31 @@ from ctxnmt.model import (
     PAD_ID,
     RESERVED_TOKENS,
     UNK_ID,
+    DecoderState,
     HyperParams,
     Vocabulary,
     _encode,
     _source_batch,
     attend,
     backward,
+    decode_step,
     encode,
     forward_loss,
     grad_check,
+    init_decoder_state,
     init_params,
     load_checkpoint,
     save_checkpoint,
     softmax,
     train,
+)
+
+from oracles import (
+    oracle_encode,
+    oracle_encode_backward,
+    oracle_lstm_step,
+    oracle_run_decoder,
+    oracle_run_decoder_backward,
 )
 
 
@@ -268,6 +280,73 @@ class TestBatch:
             backward(params, src_vocab.encode(["a", "b"]), trg_vocab.encode(["x", "y"]))
         with pytest.raises(InputError):
             backward(params, [src_vocab.encode(["a"])], [])
+
+
+def equal_length_batch(src_vocab, trg_vocab, seed=0):
+    rng = np.random.default_rng(seed)
+    first = len(RESERVED_TOKENS)
+    sources = [rng.integers(first, len(src_vocab), size=4) for _ in range(3)]
+    targets = [rng.integers(first, len(trg_vocab), size=3) for _ in range(3)]
+    return sources, targets
+
+
+def use_oracle_recurrences(monkeypatch):
+    monkeypatch.setattr(model, "_encode", oracle_encode)
+    monkeypatch.setattr(model, "_encode_backward", oracle_encode_backward)
+    monkeypatch.setattr(model, "_run_decoder", oracle_run_decoder)
+    monkeypatch.setattr(model, "_run_decoder_backward", oracle_run_decoder_backward)
+
+
+class TestRecurrenceOracle:
+    """The stacked, masked recurrence against per-direction loops that keep
+    padded rows' state with np.where (tests/oracles.py), in float64."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "equal", "one"])
+    def test_states_loss_and_gradients(self, kind, monkeypatch):
+        params, src_vocab, trg_vocab = tiny_model(seed=12)
+        p64 = params.astype(np.float64)
+        if kind == "mixed":  # includes a length-1 source and length-0 and -1 targets
+            sources, targets = mixed_batch(src_vocab, trg_vocab, seed=4)
+        elif kind == "equal":
+            sources, targets = equal_length_batch(src_vocab, trg_vocab, seed=5)
+        else:
+            sources, targets = mixed_batch(src_vocab, trg_vocab, seed=6)
+            sources, targets = sources[2:3], targets[2:3]
+        batch = _source_batch(p64, sources)
+        states, _ = _encode(p64, *batch)
+        loss, grads = backward(p64, sources, targets)
+
+        use_oracle_recurrences(monkeypatch)
+        oracle_states, _ = oracle_encode(p64, *batch)
+        oracle_loss, oracle_grads = backward(p64, sources, targets)
+
+        assert np.max(np.abs(states - oracle_states)) <= 1e-12
+        assert abs(loss - oracle_loss) <= 1e-12
+        for name, g in oracle_grads.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-10 * np.max(np.abs(g)), name
+
+    def test_encode_and_decode_step_bit_equal(self):
+        params, src_vocab, trg_vocab = tiny_model(seed=13)
+        p64 = params.astype(np.float64)
+        t = p64.tensors
+        ids = src_vocab.encode(["a", "c", "b", "e", "d"])
+        states = encode(p64, ids)
+        oracle_states, _ = oracle_encode(p64, *_source_batch(p64, [ids]))
+        assert np.array_equal(states, oracle_states[0])
+
+        start = init_decoder_state(p64, states)
+        rng = np.random.default_rng(0)
+        rows = DecoderState(
+            rng.standard_normal((3, p64.hyper.hidden_dim)), rng.standard_normal((3, p64.hyper.hidden_dim)),
+            start.encoder_states, start.enc_proj,
+        )
+        prev = np.array([BOS_ID, trg_vocab.id("x"), trg_vocab.id("w")])
+        state, log_probs, attn = decode_step(p64, rows, prev)
+        zx = t["trg_embed"][prev] @ t["dec_Wx"] + t["dec_b"]
+        h, c, _ = oracle_lstm_step(zx, t["dec_Wh"], rows.h, rows.c)
+        oracle_log_probs, oracle_attn, _ = model._output_layer(p64, h, start.encoder_states, start.enc_proj)
+        assert np.array_equal(state.h, h) and np.array_equal(state.c, c)
+        assert np.array_equal(log_probs, oracle_log_probs) and np.array_equal(attn, oracle_attn)
 
 
 def copy_corpus(n_units=20, seed=0):
