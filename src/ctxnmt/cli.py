@@ -192,10 +192,15 @@ def cmd_train(args) -> int:
     src_vocab = Vocabulary.build((e.source_tokens for e in examples), max_size=args.vocab_cap)
     trg_vocab = Vocabulary.build((e.target_tokens for e in examples), max_size=args.vocab_cap)
     params = init_params(config.hyper, src_vocab, trg_vocab)
-    result = train(params, examples, config.hyper, savepoint_schedule=args.savepoints)
+    manifest = start_manifest("train", config)
+    failure = None
+    try:
+        result = train(params, examples, config.hyper, savepoint_schedule=args.savepoints)
+    except NumericError as exc:  # keep what was trained before the failing step
+        failure, result = exc, exc.result
+        manifest.status, manifest.error = "failed", str(exc)
 
     out = _out_dir(config)
-    manifest = start_manifest("train", config)
     for p in (src, trg, docs, args.meta):
         manifest.add_input(p)
     for ckpt in result.checkpoints:
@@ -209,7 +214,11 @@ def cmd_train(args) -> int:
         for i, row in enumerate(zip(result.losses, result.tokens, result.grad_norms), start=1):
             fh.write("%d\t%.6f\t%d\t%.6g\n" % (i, *row))
     manifest.add_output(loss_path)
+    manifest.counters = {"steps": len(result.losses), "skipped": result.skipped, "src_vocab": len(src_vocab),
+                         "trg_vocab": len(trg_vocab), "params": params.num_params()}
     manifest.write(out / "manifest-train.json")
+    if failure is not None:
+        raise failure
     last = result.losses[-1] if result.losses else float("nan")
     print(
         "train: %d steps, %d checkpoints, %d skipped, final loss %.4f -> %s"

@@ -160,6 +160,8 @@ class RunManifest:
     output_checksums: dict[str, str] = field(default_factory=dict)
     checkpoints: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
+    status: str = "ok"  # or "failed", with the error text in `error`
+    error: str = ""
     toolkit_version: str = __version__
     started: str = ""
     finished: str = ""

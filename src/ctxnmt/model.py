@@ -17,6 +17,10 @@ directions step together as one recurrence.  Decoding encodes through the
 same code as a batch of one.  Runs are single-threaded and bit-reproducible
 for a given seed.
 
+The parameters are one flat vector, the named tensors views of it in
+checkpoint order; gradients and Adam's moments share the layout, so copy,
+checkpoint IO, finite checks, gradient norm and Adam are one array call each.
+
 backward() implements exact analytic backpropagation through the whole
 computation; grad_check() verifies it against central finite differences in
 double precision.
@@ -134,53 +138,68 @@ def _tensor_specs(hp: HyperParams, n_src: int, n_trg: int) -> list[tuple[str, tu
     return specs
 
 
-class ModelParams:
-    """Named-tensor container plus the vocabularies it was built for."""
+class TensorViews(dict):
+    """Named views of one vector `.flat` in _tensor_specs order, the layout of
+    PyTorch's parameters_to_vector.  Write in place: rebinding a name detaches it."""
 
-    def __init__(self, hyper: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, tensors: dict[str, np.ndarray]):
+    def __init__(self, flat: np.ndarray, specs):
+        offset = 0
+        for name, shape in specs:
+            self[name] = flat[offset : offset + math.prod(shape)].reshape(shape)
+            offset += self[name].size
+        self.flat = flat
+
+    def check_finite(self, what: str):
+        """One isfinite over the vector; the tensor is named only on failure."""
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, t in self.items() if not np.isfinite(t).all())
+            raise NumericError("non-finite %s in tensor %s" % (what, name))
+
+
+class ModelParams:
+    """The weights as one flat vector, its named views `tensors`, and the
+    vocabularies they were built for."""
+
+    def __init__(self, hyper: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, flat: np.ndarray):
         self.hyper = hyper
         self.src_vocab = src_vocab
         self.trg_vocab = trg_vocab
-        self.tensors = tensors
+        self.specs = _tensor_specs(hyper, len(src_vocab), len(trg_vocab))
+        self.flat = flat
+        self.tensors = TensorViews(flat, self.specs)
 
     @property
     def dtype(self):
-        return self.tensors["src_embed"].dtype
+        return self.flat.dtype
 
     def num_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.hyper, self.src_vocab, self.trg_vocab, {k: v.copy() for k, v in self.tensors.items()})
+        return ModelParams(self.hyper, self.src_vocab, self.trg_vocab, self.flat.copy())
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.hyper, self.src_vocab, self.trg_vocab, {k: v.astype(dtype) for k, v in self.tensors.items()})
+        return ModelParams(self.hyper, self.src_vocab, self.trg_vocab, self.flat.astype(dtype))
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-    def validate_finite(self):
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise NumericError("non-finite values in tensor %s" % name)
+    def zero_grads(self) -> TensorViews:
+        return TensorViews(np.zeros_like(self.flat), self.specs)
 
 
 def init_params(hp: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, dtype=np.float32) -> ModelParams:
     """Scaled-uniform (fan-based) initialization; forget-gate bias set to 1."""
     rng = substream(hp.rng_seed, "init")
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in _tensor_specs(hp, len(src_vocab), len(trg_vocab)):
-        if name.endswith("_b"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
-            fan_in = shape[0]
-            fan_out = shape[1] if len(shape) > 1 else 1
+    specs = _tensor_specs(hp, len(src_vocab), len(trg_vocab))
+    params = ModelParams(hp, src_vocab, trg_vocab, np.zeros(sum(math.prod(s) for _, s in specs), dtype))
+    for name, t in params.tensors.items():
+        if not name.endswith("_b"):
+            fan_in = t.shape[0]
+            fan_out = t.shape[1] if t.ndim > 1 else 1
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            t[...] = rng.uniform(-limit, limit, size=t.shape)
     h = hp.hidden_dim
     for cell in ("enc_fwd", "enc_bwd", "dec"):
-        tensors["%s_b" % cell][h : 2 * h] = 1.0
-    return ModelParams(hp, src_vocab, trg_vocab, tensors)
+        params.tensors["%s_b" % cell][h : 2 * h] = 1.0
+    return params
 
 
 @dataclass
@@ -324,47 +343,43 @@ def _project_backward(t, cell, X, dZ, grads):
     return (dZ @ t[cell + "_Wx"].T).reshape(X.shape)
 
 
-def _validate_ids(ids, vocab_size, what):
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise InputError("%s ids must be one sequence of ids, got shape %s" % (what, ids.shape))
+def _id_batch(seqs, vocab_size, max_len, what):
+    """Id sequences checked by one concatenate, one range and one length
+    check, and right-padded with PAD_ID to (B, longest); returns them and
+    the lengths."""
+    try:
+        ids = np.concatenate(seqs)
+        if ids.ndim != 1:
+            raise ValueError
+    except ValueError:  # no sequence at all, or one that is not 1-d
+        raise InputError("%s ids must be a non-empty batch of id sequences" % what) from None
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise InputError("%s id out of vocabulary range [0, %d)" % (what, vocab_size))
-    return ids.astype(np.int64)
-
-
-def _pad(seqs, length):
-    """Right-pad id arrays with PAD_ID to (B, length); returns ids and the mask
-    of real positions."""
-    mask = np.arange(length) < np.array([len(x) for x in seqs])[:, None]
-    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
-    ids[mask] = np.concatenate(seqs)
-    return ids, mask
+    lengths = np.array([len(x) for x in seqs])
+    if lengths.max() > max_len:
+        raise InputError("%s length %d exceeds max_%s_len %d" % (what, lengths.max(), what, max_len))
+    batch = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
+    batch[np.arange(batch.shape[1]) < lengths[:, None]] = ids
+    return batch, lengths
 
 
 def _source_batch(params: ModelParams, sources):
-    src = [_validate_ids(x, len(params.src_vocab), "source") for x in sources]
-    if not src:
-        raise InputError("a batch needs at least one example")
-    for ids in src:
-        if ids.size == 0:
-            raise InputError("cannot encode an empty source")
-        if ids.size > params.hyper.max_source_len:
-            raise InputError("source length %d exceeds max_source_len %d" % (ids.size, params.hyper.max_source_len))
-    return _pad(src, max(ids.size for ids in src))
+    """Padded source ids (B, S) and the mask of real positions."""
+    src, lengths = _id_batch(sources, len(params.src_vocab), params.hyper.max_source_len, "source")
+    if lengths.min() == 0:
+        raise InputError("cannot encode an empty source")
+    return src, np.arange(src.shape[1]) < lengths[:, None]
 
 
 def _target_batch(params: ModelParams, targets):
     """Teacher-forcing arrays (B, T) with T = longest target + 1: decoder
-    inputs (<bos> + target), predictions (target + <eos>) and their mask."""
-    trg = [_validate_ids(y, len(params.trg_vocab), "target") for y in targets]
-    for ids in trg:
-        if ids.size > params.hyper.max_target_len:
-            raise InputError("target length %d exceeds max_target_len %d" % (ids.size, params.hyper.max_target_len))
-    T = max(ids.size for ids in trg) + 1
-    dec_in, mask = _pad([np.concatenate([[BOS_ID], ids]) for ids in trg], T)
-    predict, _ = _pad([np.concatenate([ids, [EOS_ID]]) for ids in trg], T)
-    return dec_in, predict, mask
+    inputs (<bos> + target) and predictions (target + <eos>), both shifts of
+    one array, and their mask (0 where a shorter row's input reads <eos>)."""
+    trg, lengths = _id_batch(targets, len(params.trg_vocab), params.hyper.max_target_len, "target")
+    rows = np.pad(trg, ((0, 0), (1, 1)), constant_values=PAD_ID)
+    rows[:, 0] = BOS_ID
+    rows[np.arange(len(trg)), lengths + 1] = EOS_ID
+    return rows[:, :-1], rows[:, 1:], np.arange(rows.shape[1] - 1) <= lengths[:, None]
 
 
 def _encode(params: ModelParams, src_ids, src_mask):
@@ -558,13 +573,11 @@ def backward(params: ModelParams, sources, targets):
 
     sources and targets are equally long sequences of id arrays; the loss is
     the mean over the batch of each example's forward_loss.  Returns (loss,
-    grads).
+    grads), the views of one vector `grads.flat` laid out like the parameters.
     """
     loss, cache = _forward(params, sources, targets)
     grads = _backward(params, cache)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in tensor %s" % name)
+    grads.check_finite("gradient")
     return loss, grads
 
 
@@ -624,35 +637,25 @@ def grad_check(params: ModelParams, sources, targets, epsilon: float = 1e-4, num
     """Max relative error between analytic and central-difference gradients
     of a batch's loss (sources and targets as for backward).
 
-    Runs in double precision on a random subset of coordinates spread across
-    all tensors.
+    Runs in double precision on a random subset of coordinates of the flat
+    parameter vector, so spread across all tensors.
     """
     p64 = params.astype(np.float64)
     _, grads = backward(p64, sources, targets)
     rng = substream(seed, "grad-check")
-
-    names = sorted(p64.tensors)
-    sizes = np.array([p64.tensors[n].size for n in names])
-    cumulative = np.cumsum(sizes)
-    total = int(cumulative[-1])
+    flat = p64.flat
 
     worst = 0.0
-    for flat_index in rng.choice(total, size=min(num_coords, total), replace=False):
-        tensor_pos = int(np.searchsorted(cumulative, flat_index, side="right"))
-        name = names[tensor_pos]
-        offset = int(flat_index - (cumulative[tensor_pos] - sizes[tensor_pos]))
-        tensor = p64.tensors[name]
-        idx = np.unravel_index(offset, tensor.shape)
-
-        original = tensor[idx]
-        tensor[idx] = original + epsilon
+    for i in rng.choice(flat.size, size=min(num_coords, flat.size), replace=False):
+        original = flat[i]
+        flat[i] = original + epsilon
         loss_plus, _ = _forward(p64, sources, targets)
-        tensor[idx] = original - epsilon
+        flat[i] = original - epsilon
         loss_minus, _ = _forward(p64, sources, targets)
-        tensor[idx] = original
+        flat[i] = original
 
         fd = (loss_plus - loss_minus) / (2 * epsilon)
-        analytic = grads[name][idx]
+        analytic = grads.flat[i]
         rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
         worst = max(worst, rel)
     return worst
@@ -690,26 +693,23 @@ class TrainResult:
 
 
 class AdamOptimizer:
-    """Adaptive moment estimation with standard defaults."""
+    """Adam with standard defaults, one update of the flat vector as in Apex's multi-tensor Adam."""
 
     def __init__(self, params: ModelParams, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = params.zero_grads()
-        self.v = params.zero_grads()
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
-    def update(self, params: ModelParams, grads: dict[str, np.ndarray]):
+    def update(self, params: ModelParams, grads: TensorViews):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        correct1 = 1.0 - b1 ** self.t
-        correct2 = 1.0 - b2 ** self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            params.tensors[name] -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        correct1 = 1.0 - self.beta1 ** self.t
+        correct2 = 1.0 - self.beta2 ** self.t
+        g, m, v = grads.flat, self.m, self.v
+        m += (1 - self.beta1) * (g - m)
+        v += (1 - self.beta2) * (g * g - v)
+        params.flat -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
 
 
 def _to_id_pairs(params: ModelParams, examples: Sequence[ExtendedExample]):
@@ -738,8 +738,8 @@ def train(
     savepoint_schedule is either an int (that many evenly spaced checkpoints,
     the last at the end of training) or an explicit sequence of 1-based step
     indices.  Zero epochs returns only the initialization checkpoint.  On
-    numeric failure a NumericError is raised with the checkpoints collected so
-    far attached as `exc.checkpoints`.
+    numeric failure a NumericError is raised with the partial TrainResult (the
+    savepoints so far, the logs of every step before) as `exc.result`.
     """
     hp = hp or params.hyper
     if not examples:
@@ -762,30 +762,27 @@ def train(
     optimizer = AdamOptimizer(params, hp.learning_rate)
     shuffle_rng = substream(hp.rng_seed, "shuffle")
     result = TrainResult(checkpoints=[], skipped=skipped)
-    step = 0
     try:
         for _ in range(hp.epochs):
             order = shuffle_rng.permutation(len(pairs))
             for b in range(steps_per_epoch):
                 sources, targets = zip(*(pairs[i] for i in order[b * hp.batch_size : (b + 1) * hp.batch_size]))
                 loss, grads = backward(params, sources, targets)
-                result.grad_norms.append(float(np.sqrt(sum(np.sum(np.square(g, dtype=np.float64)) for g in grads.values()))))
+                result.grad_norms.append(float(np.sqrt(np.sum(np.square(grads.flat, dtype=np.float64)))))
                 optimizer.update(params, grads)
                 result.losses.append(loss)
                 result.tokens.append(sum(trg.size + 1 for trg in targets))
-                step += 1
-                if schedule and step == schedule[0]:
-                    schedule.pop(0)
-                    result.checkpoints.append(Checkpoint(step, params.copy()))
+                if schedule and len(result.losses) == schedule[0]:
+                    result.checkpoints.append(Checkpoint(schedule.pop(0), params.copy()))
     except NumericError as exc:
-        exc.checkpoints = result.checkpoints
+        exc.result = result
         raise
     return result
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: magic, u32 header length, JSON header, then named
-# tensors as little-endian float32 in header order.
+# Checkpoint container: magic, u32 header length, JSON header, then the flat
+# vector as little-endian float32 (named tensors in _tensor_specs order).
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CNMT"
@@ -803,11 +800,8 @@ def save_checkpoint(params: ModelParams, path):
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, tensor in params.tensors.items():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
+        fh.write(params.flat.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -830,18 +824,11 @@ def load_checkpoint(path) -> ModelParams:
         specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers UTF-8 and JSON errors
         raise ConfigError("malformed checkpoint header in %s: %r" % (path, exc)) from None
-    expected = dict(_tensor_specs(hp, len(src_vocab), len(trg_vocab)))
-    if len(specs) != len(expected) or dict(specs) != expected:
-        raise ConfigError("checkpoint tensors missing or mis-shaped in %s" % path)
-    offset = 8 + header_len
-    size = offset + 4 * sum(int(np.prod(shape)) for _, shape in specs)
+    if specs != _tensor_specs(hp, len(src_vocab), len(trg_vocab)):
+        raise ConfigError("checkpoint tensors missing, mis-shaped or out of order in %s" % path)
+    size = 8 + header_len + 4 * sum(math.prod(shape) for _, shape in specs)
     if len(raw) != size:
         raise ConfigError("checkpoint %s has %d bytes, its header describes %d" % (path, len(raw), size))
-    tensors = {}
-    for name, shape in specs:
-        count = int(np.prod(shape))
-        tensors[name] = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape).astype(np.float32)
-        offset += count * 4
-    params = ModelParams(hp, src_vocab, trg_vocab, tensors)
-    params.validate_finite()
+    params = ModelParams(hp, src_vocab, trg_vocab, np.frombuffer(raw, "<f4", offset=8 + header_len).astype(np.float32))
+    params.tensors.check_finite("values")
     return params

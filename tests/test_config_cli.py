@@ -29,7 +29,8 @@ from ctxnmt.config import (
 )
 from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
 from ctxnmt.decode import BeamConfig
-from ctxnmt.errors import ConfigError
+from ctxnmt import model
+from ctxnmt.errors import ConfigError, NumericError
 from ctxnmt.model import HyperParams, Vocabulary, init_params, load_checkpoint, save_checkpoint
 from ctxnmt.rng import substream
 from ctxnmt.subword import BpeConfig, load_bpe_model
@@ -392,6 +393,20 @@ class TestInputBoundaries:
         (d / "bad.ckpt").write_bytes(raw)
         assert self.translate(d, d / "bad.ckpt") == 2
 
+    def test_swapped_tensor_header_is_config_error(self, corpus, capsys):
+        # src_embed and trg_embed have the same shape here, so only their order tells them apart
+        d, _ = corpus
+        raw = (d / "model.ckpt").read_bytes()
+        size = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + size])
+        tensors = header["tensors"]
+        assert tensors[0]["shape"] == tensors[1]["shape"]
+        tensors[0], tensors[1] = tensors[1], tensors[0]
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        (d / "swapped.ckpt").write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + size :])
+        assert self.translate(d, d / "swapped.ckpt") == 2
+        assert "out of order" in capsys.readouterr().err
+
     def test_nan_checkpoint_is_numeric_error(self, corpus):
         d, params = corpus
         params.tensors["out_W"][0, 0] = np.nan
@@ -436,6 +451,46 @@ class TestInputBoundaries:
         for row in rows[1:]:
             assert int(row[2]) == (2 + 1) + (1 + 1)  # both targets plus <eos> each
             assert 0.0 < float(row[3]) < float("inf")
+
+    def test_train_manifest_counts_what_it_did(self, corpus):
+        d, _ = corpus
+        train = ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
+                 "--out", str(d / "run"), "--epochs", "3", "--batch-size", "1", "--max-source-len", "1",
+                 "--embed-dim", "4", "--hidden-dim", "5", "--attention-dim", "3"]
+        assert main(train) == 0
+        manifest = json.loads((d / "run" / "manifest-train.json").read_text())
+        params = load_checkpoint(manifest["checkpoints"][-1])
+        # "a b" exceeds the source cap, so 3 epochs of the one example "c" -> "z"
+        assert manifest["counters"] == {"steps": 3, "skipped": 1, "src_vocab": 7, "trg_vocab": 7,
+                                        "params": params.num_params()}
+        assert (manifest["status"], manifest["error"]) == ("ok", "")
+
+    def test_failed_train_leaves_its_evidence(self, corpus, monkeypatch, capsys):
+        d, _ = corpus
+        k, calls, backward = 5, [], model.backward
+
+        def fail_at_step_k(params, sources, targets):
+            calls.append(1)
+            if len(calls) == k:
+                raise NumericError("non-finite gradient in tensor out_W")
+            return backward(params, sources, targets)
+
+        monkeypatch.setattr(model, "backward", fail_at_step_k)
+        train = ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
+                 "--out", str(d / "run"), "--epochs", "3", "--batch-size", "1", "--savepoints", "3",
+                 "--embed-dim", "4", "--hidden-dim", "5", "--attention-dim", "3"]
+        assert main(train) == 4  # 6 steps, savepoints after steps 2, 4 and 6
+        assert "non-finite gradient in tensor out_W" in capsys.readouterr().err
+        rows = (d / "run" / "losses.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == [str(i) for i in range(1, k)]
+        assert sorted(p.name for p in (d / "run").glob("*.ckpt")) == ["checkpoint-000002.ckpt",
+                                                                      "checkpoint-000004.ckpt"]
+        manifest = json.loads((d / "run" / "manifest-train.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "non-finite gradient in tensor out_W"
+        assert manifest["counters"]["steps"] == k - 1
+        assert [Path(p).name for p in manifest["checkpoints"]] == ["checkpoint-000002.ckpt", "checkpoint-000004.ckpt"]
+        load_checkpoint(d / "run" / "checkpoint-000004.ckpt")
 
     def test_manifest_records_the_trained_hyperparameters(self, corpus):
         d, _ = corpus

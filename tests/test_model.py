@@ -93,8 +93,8 @@ class TestEncode:
         params, src_vocab, _ = tiny_model()
         swapped = params.copy()
         for suffix in ("Wx", "Wh", "b"):
-            swapped.tensors["enc_fwd_" + suffix] = params.tensors["enc_bwd_" + suffix].copy()
-            swapped.tensors["enc_bwd_" + suffix] = params.tensors["enc_fwd_" + suffix].copy()
+            swapped.tensors["enc_fwd_" + suffix][...] = params.tensors["enc_bwd_" + suffix]
+            swapped.tensors["enc_bwd_" + suffix][...] = params.tensors["enc_fwd_" + suffix]
         ids = src_vocab.encode(["a", "b", "c", "d"])
         h = params.hyper.hidden_dim
         straight = encode(params, ids)
@@ -413,6 +413,38 @@ class TestTrain:
         assert len(result.checkpoints) == 4
         total_steps = 2 * ((len(examples) + 4) // 5)
         assert result.checkpoints[-1].step == total_steps
+
+
+class TestFlatLayout:
+    """Named tensors, gradients and checkpoints all read one flat vector."""
+
+    def test_write_through_view_reaches_flat_and_checkpoint(self, tmp_path):
+        params, _, _ = tiny_model(seed=9)
+        params.tensors["attn_v"][2] = 7.5
+        assert np.array_equal(params.flat, np.concatenate([t.ravel() for t in params.tensors.values()]))
+        assert np.count_nonzero(params.flat == 7.5) == 1
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        assert load_checkpoint(tmp_path / "model.ckpt").tensors["attn_v"][2] == 7.5
+
+    def test_copy_and_astype_share_no_memory(self):
+        params, _, _ = tiny_model(seed=9)
+        for other in (params.copy(), params.astype(np.float64)):
+            assert not np.shares_memory(other.flat, params.flat)
+            assert np.array_equal(other.flat, params.flat)
+            other.tensors["out_b"][0] = 99.0
+            assert params.tensors["out_b"][0] != 99.0
+
+    def test_gradients_are_views_of_one_vector(self):
+        params, src_vocab, trg_vocab = tiny_model(seed=9)
+        _, grads = backward(params, [src_vocab.encode(["a", "b"])], [trg_vocab.encode(["x"])])
+        assert list(grads) == list(params.tensors)
+        assert grads.flat.shape == params.flat.shape
+        offset = 0
+        for name, g in grads.items():
+            assert g.shape == params.tensors[name].shape and g.base is grads.flat
+            assert np.array_equal(g.ravel(), grads.flat[offset : offset + g.size])
+            offset += g.size
+        assert offset == grads.flat.size
 
 
 class TestCheckpointFile:
