@@ -22,11 +22,9 @@ from .corpus import (  # noqa: F401
 )
 from .subword import BpeConfig, BpeModel, apply_bpe, learn_bpe, revert_bpe  # noqa: F401
 from .model import (  # noqa: F401
-    AttentionRecord,
     HyperParams,
     ModelParams,
     Vocabulary,
-    attend,
     backward,
     encode,
     forward_loss,

@@ -54,6 +54,7 @@ from .errors import (
     NumericError,
 )
 from .model import (
+    UNK_ID,
     Vocabulary,
     init_params,
     load_checkpoint,
@@ -170,6 +171,9 @@ def cmd_bpe_apply(args) -> int:
     manifest.add_input(args.model)
     manifest.add_input(args.input)
     manifest.add_output(args.output)
+    # the model's segmentation cache starts empty, so every repeat of a segmented token is a hit
+    words = [tok for tokens in lines for tok in tokens if not protected(tok)]
+    manifest.counters = {"tokens": sum(map(len, lines)), "cache_hits": len(words) - len(set(words))}
     manifest.write(output.with_suffix(output.suffix + ".manifest.json"))
     print("bpe-apply: %d lines -> %s" % (len(segmented), args.output))
     return 0
@@ -177,7 +181,7 @@ def cmd_bpe_apply(args) -> int:
 
 def _load_examples(src, trg, docs, meta):
     if meta:
-        return read_extended_corpus(src, trg, docs, meta)
+        return read_extended_corpus(src, trg, meta)
     units = read_parallel_corpus(src, trg, docs)
     return extend_corpus(units, ContextConfig(0, 0, Marking.BREAK))
 
@@ -229,7 +233,7 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     config = _load_base_config(args)
-    models = as_ensemble([load_checkpoint(p) for p in args.checkpoint])
+    models = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
     vocabs = [(m.src_vocab.tokens, m.trg_vocab.tokens) for m in models]
     for path, vocab in zip(args.checkpoint[1:], vocabs[1:]):
         if vocab != vocabs[0]:  # members' output distributions are averaged id by id
@@ -252,33 +256,31 @@ def cmd_translate(args) -> int:
 
     params = models[0]
     use_greedy = beam.beam_size == 1 and beam.length_norm_alpha == 0.0 and beam.coverage_beta == 0.0
-    results = []
-    for tokens in src_lines:
-        ids = params.src_vocab.encode(tokens)
+    sources = [params.src_vocab.encode(tokens) for tokens in src_lines]
+    exports, truncated = [], 0
+    for i, (ids, tokens, (doc_id, idx, src_start, _)) in enumerate(zip(sources, src_lines, meta)):
         if use_greedy:
-            results.append(greedy_decode(models, ids, beam.max_len(len(ids))))
+            result = greedy_decode(models, ids, beam.max_len(len(ids)))
         else:
-            results.append(beam_decode(models, ids, beam))
-
-    out = _out_dir(config)
-    trg_path = out / (args.prefix + ".trg")
-    attn_path = out / (args.prefix + ".attn.jsonl")
-    write_lines(trg_path, (" ".join(r.target_tokens(params)) for r in results))
-    exports = []
-    for i, r in enumerate(results):
-        doc_id, idx, src_start, _ = meta[i]
+            result = beam_decode(models, ids, beam)
         exports.append(
             AttentionExport(
                 index=i,
                 doc_id=doc_id,
                 index_in_doc=idx,
-                source_tokens=list(src_lines[i]),
-                target_tokens=r.target_tokens(params),
-                weights=r.record.weights,
+                source_tokens=tokens,
+                target_tokens=result.target_tokens(params),
+                weights=result.weights,
                 source_focus_start=src_start,
                 break_token=config.context.break_token,
             )
         )
+        truncated += result.truncated
+
+    out = _out_dir(config)
+    trg_path = out / (args.prefix + ".trg")
+    attn_path = out / (args.prefix + ".attn.jsonl")
+    write_lines(trg_path, (" ".join(ex.target_tokens) for ex in exports))
     write_attention_records(attn_path, exports)
 
     manifest = start_manifest("translate", config)
@@ -286,7 +288,9 @@ def cmd_translate(args) -> int:
         manifest.add_input(p)
     manifest.add_output(trg_path)
     manifest.add_output(attn_path)
-    counters = manifest.counters = {"sentences": len(results), "truncated": sum(r.truncated for r in results)}
+    counters = manifest.counters = {
+        "sentences": len(exports), "truncated": truncated, "source_tokens": sum(map(len, sources)),
+        "unknown_source_tokens": sum(int((ids == UNK_ID).sum()) for ids in sources), "ensemble": len(models)}
     manifest.write(out / ("manifest-translate-%s.json" % args.prefix))
     print("translate: %d sentences (%d truncated) -> %s" % (counters["sentences"], counters["truncated"], trg_path))
     return 0

@@ -291,7 +291,7 @@ def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_pat
         )
 
 
-def read_extended_corpus(src_path, trg_path, docs_path, meta_path) -> list[ExtendedExample]:
+def read_extended_corpus(src_path, trg_path, meta_path) -> list[ExtendedExample]:
     """Load extended examples written by write_extended_corpus."""
     src_lines = read_text(src_path).splitlines()
     trg_lines = read_text(trg_path).splitlines()

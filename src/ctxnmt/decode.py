@@ -9,6 +9,10 @@ distributions of their member checkpoints before taking the log; attention
 weights are averaged the same way.  The reserved <pad> and <bos> ids are
 never emitted.  Break tokens are ordinary vocabulary items: nothing
 constrains their generation.
+
+A decode returns ids and one (T, S) attention matrix (DecodeResult); the
+translate command maps the ids to tokens once, into the AttentionExport that
+is written, read back, partitioned and drawn.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 from .corpus import DEFAULT_BREAK_TOKEN, read_text
 from .errors import ConfigError, MalformedRecordError, NumericError
 from .model import (
-    AttentionRecord,
     BOS_ID,
     EOS_ID,
     PAD_ID,
@@ -88,22 +91,16 @@ class Hypothesis:
 
 @dataclass
 class DecodeResult:
+    """The best hypothesis's ids (no <eos>), its float64 attention weights
+    (T, S) with one row per id, whether it ran out of steps, its log-prob."""
+
     target_ids: list[int]
-    record: AttentionRecord
+    weights: np.ndarray
     truncated: bool = False
     log_prob: float = 0.0
 
     def target_tokens(self, params: ModelParams) -> list[str]:
         return [params.trg_vocab.token(i) for i in self.target_ids]
-
-
-def _make_record(models: Sequence[ModelParams], source_ids, token_ids, rows) -> AttentionRecord:
-    params = models[0]
-    return AttentionRecord(
-        source_tokens=[params.src_vocab.token(int(i)) for i in source_ids],
-        target_tokens=[params.trg_vocab.token(int(i)) for i in token_ids],
-        weights=np.stack(rows) if rows else np.zeros((0, len(source_ids))),
-    )
 
 
 def _ensemble_step(models, states, prev_ids):
@@ -128,16 +125,17 @@ def _ensemble_step(models, states, prev_ids):
 
 
 def as_ensemble(params_or_ensemble) -> list[ModelParams]:
-    """The members in float64, copying only float32 ones.  Decoding runs in
-    float64 because in float32 BLAS rounds a row differently depending on
-    how many rows step with it, so the same hypothesis would score
-    differently under beam 1 and beam 8 (by ~1e-8)."""
+    """The members in float64, each converted as it is iterated, so a generator
+    of checkpoints keeps one float32 copy alive.  Decoding runs in float64
+    because in float32 BLAS rounds a row differently depending on how many
+    rows step with it, so the same hypothesis would score differently under
+    beam 1 and beam 8 (by ~1e-8)."""
     if isinstance(params_or_ensemble, ModelParams):
         params_or_ensemble = [params_or_ensemble]
-    models = list(params_or_ensemble)
+    models = [m if m.dtype == np.float64 else m.astype(np.float64) for m in params_or_ensemble]
     if not models:
         raise ConfigError("ensemble must contain at least one checkpoint")
-    return [m if m.dtype == np.float64 else m.astype(np.float64) for m in models]
+    return models
 
 
 def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
@@ -201,13 +199,11 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesi
 
 
 def beam_decode(params_or_ensemble, source_ids, config: BeamConfig) -> DecodeResult:
-    """beam_search wrapped into the same result shape as greedy_decode."""
-    models = as_ensemble(params_or_ensemble)
-    hyp = beam_search(models, source_ids, config)
-    record = _make_record(models, source_ids, hyp.token_ids, hyp.attention_rows)
+    """beam_search's best hypothesis with its attention rows stacked."""
+    hyp = beam_search(params_or_ensemble, source_ids, config)
     return DecodeResult(
         target_ids=list(hyp.token_ids),
-        record=record,
+        weights=np.stack(hyp.attention_rows) if hyp.attention_rows else np.zeros((0, len(source_ids))),
         truncated=not hyp.finished,
         log_prob=hyp.log_prob,
     )
@@ -273,7 +269,7 @@ def write_attention_records(path, exports: Sequence[AttentionExport]):
                         "index_in_doc": ex.index_in_doc,
                         "source_tokens": ex.source_tokens,
                         "target_tokens": ex.target_tokens,
-                        "weights": [[float(w) for w in row] for row in ex.weights],
+                        "weights": ex.weights.tolist(),
                         "source_focus_start": ex.source_focus_start,
                         "break_token": ex.break_token,
                     },

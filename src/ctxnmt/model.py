@@ -21,6 +21,7 @@ The parameters are one flat vector, the named tensors views of it in
 checkpoint order; gradients and Adam's moments share the layout, so copy,
 checkpoint IO, finite checks, gradient norm and Adam are one array call each.
 
+forward_loss() gives one example's loss and its attention weights;
 backward() implements exact analytic backpropagation through the whole
 computation; grad_check() verifies it against central finite differences in
 double precision.
@@ -81,15 +82,6 @@ class Vocabulary:
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.id(t) for t in tokens], dtype=np.int64)
-
-    def decode(self, ids: Sequence[int], strip_reserved: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            tok = self.tokens[int(i)]
-            if strip_reserved and tok in RESERVED_TOKENS:
-                continue
-            out.append(tok)
-        return out
 
 
 @dataclass(frozen=True)
@@ -200,24 +192,6 @@ def init_params(hp: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, d
     for cell in ("enc_fwd", "enc_bwd", "dec"):
         params.tensors["%s_b" % cell][h : 2 * h] = 1.0
     return params
-
-
-@dataclass
-class AttentionRecord:
-    """Per-output-token attention distribution over input positions."""
-
-    source_tokens: list[str]
-    target_tokens: list[str]
-    weights: np.ndarray  # (T, S), rows sum to 1
-
-    def validate(self, tol: float = 1e-6):
-        if self.weights.shape != (len(self.target_tokens), len(self.source_tokens)):
-            raise NumericError("attention matrix shape does not match token counts")
-        if np.any(self.weights < -tol) or np.any(self.weights > 1 + tol):
-            raise NumericError("attention weights outside [0, 1]")
-        sums = self.weights.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
-            raise NumericError("attention row sums deviate from 1 by more than %g" % tol)
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +394,11 @@ def encode(params: ModelParams, source_ids) -> np.ndarray:
     return states[0]
 
 
-def attend(params: ModelParams, decoder_state, encoder_states, enc_proj=None):
-    """Additive attention; returns (context_vector, weights)."""
-    if len(encoder_states) == 0:
-        raise InputError("attend requires at least one encoder state")
-    ctx, a, _ = _attend_cached(params, decoder_state, encoder_states, enc_proj)
-    return ctx, a
-
-
 def _attend_cached(params: ModelParams, queries, encoder_states, enc_proj=None, src_mask=None):
-    """Attention of queries (H,) or (K, H) over encoder_states (S, 2H), or of
-    a training batch's queries (B, T, H) over (B, S, 2H); then enc_proj is
-    (B, 1, S, A) and src_mask (B, 1, S) is False on padding, which gets
-    weight 0."""
+    """Additive attention of queries (H,) or (K, H) over encoder_states (S,
+    2H), or of a training batch's queries (B, T, H) over (B, S, 2H); then
+    enc_proj is (B, 1, S, A) and src_mask (B, 1, S) is False on padding,
+    which gets weight 0.  Returns (context, weights, tanh activations)."""
     t = params.tensors
     if enc_proj is None:
         enc_proj = encoder_states @ t["attn_W_enc"]
@@ -556,16 +522,12 @@ def _forward(params: ModelParams, sources, targets):
 
 
 def forward_loss(params: ModelParams, source_ids, target_ids):
-    """Mean per-token teacher-forced cross-entropy of one example plus its
-    attention record."""
+    """Mean per-token teacher-forced cross-entropy of one example and its
+    attention weights (T + 1, S) in float64: one row per target token and
+    one for <eos>."""
     loss, cache = _forward(params, [source_ids], [target_ids])
     _, attn, _, _ = cache["out"]
-    record = AttentionRecord(
-        source_tokens=[params.src_vocab.token(i) for i in cache["src_ids"][0]],
-        target_tokens=[params.trg_vocab.token(i) for i in cache["predict"][0]],
-        weights=attn[0].astype(np.float64),
-    )
-    return loss, record
+    return loss, attn[0].astype(np.float64)
 
 
 def backward(params: ModelParams, sources, targets):
@@ -730,16 +692,16 @@ def train(
     params: ModelParams,
     examples: Sequence[ExtendedExample],
     hp: HyperParams | None = None,
-    savepoint_schedule=4,
+    savepoint_schedule: int = 4,
 ) -> TrainResult:
     """Minibatch training with Adam and savepoints: one backward call per
     step over the whole padded batch.
 
-    savepoint_schedule is either an int (that many evenly spaced checkpoints,
-    the last at the end of training) or an explicit sequence of 1-based step
-    indices.  Zero epochs returns only the initialization checkpoint.  On
-    numeric failure a NumericError is raised with the partial TrainResult (the
-    savepoints so far, the logs of every step before) as `exc.result`.
+    savepoint_schedule is the number of evenly spaced checkpoints, the last
+    at the end of training.  Zero epochs returns only the initialization
+    checkpoint.  On numeric failure a NumericError is raised with the
+    partial TrainResult (the savepoints so far, the logs of every step
+    before) as `exc.result`.
     """
     hp = hp or params.hyper
     if not examples:
@@ -750,11 +712,8 @@ def train(
 
     steps_per_epoch = (len(pairs) + hp.batch_size - 1) // hp.batch_size
     total_steps = hp.epochs * steps_per_epoch
-    if isinstance(savepoint_schedule, int):
-        n = max(0, savepoint_schedule)
-        schedule = sorted({max(1, round(total_steps * k / n)) for k in range(1, n + 1)}) if n and total_steps else []
-    else:
-        schedule = sorted({int(s) for s in savepoint_schedule if 1 <= int(s) <= total_steps})
+    n = max(0, savepoint_schedule)
+    schedule = sorted({max(1, round(total_steps * k / n)) for k in range(1, n + 1)}) if n and total_steps else []
 
     if hp.epochs == 0 or total_steps == 0:
         return TrainResult(checkpoints=[Checkpoint(0, params.copy())], losses=[], skipped=skipped)

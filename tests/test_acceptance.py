@@ -52,6 +52,7 @@ from ctxnmt.model import (
 )
 from ctxnmt.subword import apply_bpe_line, learn_bpe, load_bpe_model, revert_bpe, word_frequencies
 
+from attention_checks import assert_attention_rows
 from oracles import (
     oracle_bleu,
     oracle_chrf,
@@ -127,8 +128,8 @@ def test_criterion_03_attention_normalization():
         result = greedy_decode(models, ids, max_len=12)
         if len(result.target_ids) == 0:
             continue
-        result.record.validate(tol=1e-6)
-        rows += result.record.weights.shape[0]
+        assert_attention_rows(result.weights, len(result.target_ids), len(ids))
+        rows += result.weights.shape[0]
     assert rows > 1000
     report(3, "%d attention rows over 1000 decodes all sum to 1 within 1e-6" % rows)
 

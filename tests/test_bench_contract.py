@@ -38,3 +38,29 @@ def test_wrapped_names_are_the_layer_functions():
         if layer in MODULES and len(rest) == 1:
             owner, attr = bench_trace._resolve(MODULES, module_name, path)
             assert getattr(owner, attr) is getattr(MODULES[layer], rest[0]), span
+
+
+def test_train_and_translate_record_the_traced_spans(tmp_path):
+    # a caller that stops calling a wrapped name leaves its span empty
+    (tmp_path / "in.src").write_text("a b\nc\nb a c\n")
+    (tmp_path / "in.trg").write_text("x y\nz\ny x z\n")
+    (tmp_path / "in.docs").write_text("d\nd\nd\n")
+    tracer = bench_trace.Tracer(MODULES)
+    tracer.install()
+    try:
+        assert cli.main(["train", "--source", str(tmp_path / "in.src"), "--target", str(tmp_path / "in.trg"),
+                         "--docs", str(tmp_path / "in.docs"), "--out", str(tmp_path / "run"), "--epochs", "2",
+                         "--batch-size", "2", "--embed-dim", "4", "--hidden-dim", "5", "--attention-dim", "3",
+                         "--savepoints", "1"]) == 0
+        for beam, alpha in (("1", "0"), ("4", "0.6")):
+            assert cli.main(["translate", "--checkpoint", str(tmp_path / "run" / "checkpoint-000004.ckpt"),
+                             "--source", str(tmp_path / "in.src"), "--out", str(tmp_path / "run"),
+                             "--prefix", "beam" + beam, "--beam-size", beam, "--alpha", alpha]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {name for name, _, _, _ in tracer.spans}
+    for span in ("model.backward", "model.AdamOptimizer.update", "model.encode", "model.init_decoder_state",
+                 "model.decode_step", "decode.greedy_decode", "decode.beam_decode", "decode.beam_search",
+                 "decode.write_attention_records"):
+        assert span in recorded, span
+    assert tracer.counters.get("decode.hyp_tokens", 0) > 0

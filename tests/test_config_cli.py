@@ -28,7 +28,7 @@ from ctxnmt.config import (
     start_manifest,
 )
 from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
-from ctxnmt.decode import BeamConfig
+from ctxnmt.decode import BeamConfig, beam_decode, read_attention_records
 from ctxnmt import model
 from ctxnmt.errors import ConfigError, NumericError
 from ctxnmt.model import HyperParams, Vocabulary, init_params, load_checkpoint, save_checkpoint
@@ -187,6 +187,14 @@ class TestCli:
         manifest = json.loads((tmp_path / "seg.txt.manifest.json").read_text())
         assert manifest["command"] == "bpe-apply"
         assert len(manifest["input_checksums"]) == 2 and len(manifest["output_checksums"]) == 1
+
+    def test_bpe_apply_manifest_counts_tokens_and_cache_hits(self, tmp_path):
+        (tmp_path / "in.txt").write_text("low lower low _BREAK_ qq\nlow _BREAK_ lower\n")  # "qq" is unseen
+        assert main(["bpe-apply", "--model", str(DATA / "golden_bpe.model"), "--input", str(tmp_path / "in.txt"),
+                     "--output", str(tmp_path / "seg.txt")]) == 0
+        manifest = json.loads((tmp_path / "seg.txt.manifest.json").read_text())
+        # 6 segmented tokens of 3 types; the break token passes through unsegmented
+        assert manifest["counters"] == {"tokens": 8, "cache_hits": 3}
 
     def test_negative_bpe_arguments_are_config_errors(self, tmp_path):
         assert main(["bpe-learn", "--input", str(DATA / "bpe_corpus.txt"), "--num-merges", "-3",
@@ -373,7 +381,44 @@ class TestInputBoundaries:
         lines = (d / "out" / "hyp.trg").read_text().splitlines()
         assert [len(line.split()) for line in lines] == [params.hyper.max_target_len] * 2
         manifest = json.loads((d / "out" / "manifest-translate-hyp.json").read_text())
-        assert manifest["counters"] == {"sentences": 2, "truncated": 2}
+        assert manifest["counters"] == {"sentences": 2, "truncated": 2, "source_tokens": 3,
+                                        "unknown_source_tokens": 0, "ensemble": 1}
+
+    def test_translate_manifest_counts_what_it_did(self, corpus):
+        d, _ = corpus
+        (d / "rep.src").write_text("a b a\nc zz a\n")  # "zz" is not in the vocabulary
+        argv = ["translate", "--source", str(d / "rep.src"), "--out", str(d / "out"),
+                "--checkpoint", str(d / "model.ckpt"), "--checkpoint", str(d / "model.ckpt")]
+        assert main(argv) == 0
+        manifest = json.loads((d / "out" / "manifest-translate-hyp.json").read_text())
+        counters = manifest["counters"]
+        assert (counters["sentences"], counters["source_tokens"], counters["unknown_source_tokens"]) == (2, 6, 1)
+        assert counters["ensemble"] == 2
+
+    @pytest.mark.parametrize("beam", ["1", "4"])
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_translate_writes_what_the_search_returned(self, corpus, beam, members):
+        d, params = corpus
+        checkpoints = [d / ("member%d.ckpt" % seed) for seed in (0, 9)[:members]]
+        for seed, path in zip((0, 9), checkpoints):
+            member = init_params(dataclasses.replace(params.hyper, rng_seed=seed), params.src_vocab, params.trg_vocab)
+            member.tensors["out_b"][model.EOS_ID] -= 0.3  # so that no search ends with an empty target
+            save_checkpoint(member, path)
+        (d / "rt.src").write_text("a b c\nc\nb zz a c\n")
+        argv = ["translate", "--source", str(d / "rt.src"), "--out", str(d / "out"), "--beam-size", beam,
+                "--alpha", "0" if beam == "1" else "0.6"]
+        assert main(argv + [a for c in checkpoints for a in ("--checkpoint", str(c))]) == 0
+        exports = read_attention_records(d / "out" / "hyp.attn.jsonl")
+        lines = (d / "out" / "hyp.trg").read_text().splitlines()
+        models = [load_checkpoint(c) for c in checkpoints]
+        config = BeamConfig(beam_size=int(beam), length_norm_alpha=0.0 if beam == "1" else 0.6)
+        assert len(exports) == len(lines) == 3
+        for source, export, line in zip(["a b c", "c", "b zz a c"], exports, lines):
+            expected = beam_decode(models, params.src_vocab.encode(source.split()), config)
+            assert expected.target_ids
+            assert export.source_tokens == source.split()
+            assert export.target_tokens == line.split() == expected.target_tokens(params)
+            assert export.weights.tobytes() == expected.weights.tobytes()
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing", "bad-utf8", "bad-json", "missing"])
     def test_damaged_checkpoint_is_config_error(self, corpus, damage):

@@ -30,6 +30,8 @@ from ctxnmt.model import (
     train,
 )
 
+from attention_checks import assert_attention_rows
+
 
 @pytest.fixture(scope="module")
 def random_model():
@@ -83,14 +85,14 @@ class TestGreedy:
         params, src_vocab = random_model
         result = greedy_decode(params, src_vocab.encode(["a", "b"]), max_len=0)
         assert result.target_ids == []
-        assert result.record.weights.shape == (0, 2)
+        assert result.weights.shape == (0, 2)
 
     def test_one_attention_row_per_token(self, random_model):
         params, src_vocab = random_model
         result = greedy_decode(params, src_vocab.encode(["a", "b", "c"]), max_len=12)
-        assert result.record.weights.shape[0] == len(result.target_ids)
+        assert result.weights.shape[0] == len(result.target_ids)
         if result.target_ids:
-            result.record.validate(tol=1e-6)
+            assert_attention_rows(result.weights, len(result.target_ids), 3)
 
     def test_trained_copy_model_copies(self, trained_copy_model):
         params, vocab, units = trained_copy_model
@@ -122,7 +124,7 @@ class TestBeam:
         single = beam_decode(params, ids, config)
         wrapped = beam_decode([params], ids, config)
         assert single.target_ids == wrapped.target_ids
-        assert np.allclose(single.record.weights, wrapped.record.weights)
+        assert np.allclose(single.weights, wrapped.weights)
 
     def test_ensemble_of_identical_checkpoints_exact(self, random_model):
         params, src_vocab = random_model
@@ -184,7 +186,7 @@ class TestBeam:
         plain = beam_decode(params, ids, BeamConfig(beam_size=4, coverage_beta=0.0))
         covered = beam_decode(params, ids, BeamConfig(beam_size=4, coverage_beta=0.2))
         for result in (plain, covered):
-            assert result.record.weights.shape[0] == len(result.target_ids)
+            assert result.weights.shape[0] == len(result.target_ids)
 
 
 class TestSegmentExtraction:

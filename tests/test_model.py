@@ -19,8 +19,8 @@ from ctxnmt.model import (
     HyperParams,
     Vocabulary,
     _encode,
+    _attend_cached,
     _source_batch,
-    attend,
     backward,
     decode_step,
     encode,
@@ -34,6 +34,7 @@ from ctxnmt.model import (
     train,
 )
 
+from attention_checks import assert_attention_rows
 from oracles import (
     oracle_encode,
     oracle_encode_backward,
@@ -122,13 +123,13 @@ class TestAttend:
         params, src_vocab, _ = tiny_model()
         z = zeroed(params)
         states = np.ones((4, 2 * params.hyper.hidden_dim))
-        _, weights = attend(z, np.zeros(params.hyper.hidden_dim), states)
+        _, weights, _ = _attend_cached(z, np.zeros(params.hyper.hidden_dim), states)
         assert np.allclose(weights, 0.25)
 
     def test_single_state(self):
         params, _, _ = tiny_model()
         state = np.arange(2 * params.hyper.hidden_dim, dtype=np.float64)
-        ctx, weights = attend(params, np.zeros(params.hyper.hidden_dim), state[None, :])
+        ctx, weights, _ = _attend_cached(params, np.zeros(params.hyper.hidden_dim), state[None, :])
         assert np.allclose(weights, [1.0])
         assert np.allclose(ctx, state)
 
@@ -139,7 +140,7 @@ class TestAttend:
         z.tensors["attn_v"][0] = 1.0
         z.tensors["attn_W_enc"][0, 0] = 1.0
         states = np.array([[np.arctanh(math.log(2.0)), 0.0], [0.0, 0.0]])
-        _, weights = attend(z, np.zeros(1), states)
+        _, weights, _ = _attend_cached(z, np.zeros(1), states)
         assert np.allclose(weights, [2 / 3, 1 / 3], atol=1e-12)
 
 
@@ -169,9 +170,8 @@ class TestForwardLoss:
 
     def test_attention_rows_sum_to_one(self):
         params, src_vocab, trg_vocab = tiny_model()
-        _, record = forward_loss(params, src_vocab.encode(["a", "b", "c"]), trg_vocab.encode(["x", "y"]))
-        record.validate(tol=1e-6)
-        assert record.weights.shape == (3, 3)  # targets + EOS step
+        _, weights = forward_loss(params, src_vocab.encode(["a", "b", "c"]), trg_vocab.encode(["x", "y"]))
+        assert_attention_rows(weights, 3, 3)  # targets + EOS step
 
     def test_pure_function(self):
         params, src_vocab, trg_vocab = tiny_model()
