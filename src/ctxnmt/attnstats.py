@@ -198,11 +198,10 @@ def corpus_external_proportion(partitions: Sequence[PartitionedAttention]) -> fl
 # Report and heatmap rendering
 # ---------------------------------------------------------------------------
 
-def format_stats_table(stats: RankedStats, top: int | None = None) -> str:
+def format_stats_table(stats: RankedStats) -> str:
     """TSV with the mass/peak table columns plus the average row."""
     lines = ["word\tfreq\texternal\tinternal\tprop.%\tpos"]
-    rows = stats.rows if top is None else stats.rows[:top]
-    for r in rows:
+    for r in stats.rows:
         lines.append(
             "%s\t%d\t%.3f\t%.3f\t%.1f\t%.2f" % (r.word, r.freq, r.external, r.internal, r.proportion, r.mean_position)
         )
@@ -211,9 +210,9 @@ def format_stats_table(stats: RankedStats, top: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_majority_table(rows: Sequence[MajorityPeakStats], top: int | None = None) -> str:
+def format_majority_table(rows: Sequence[MajorityPeakStats]) -> str:
     lines = ["word\tproportion\tfreq ext peak\tfreq"]
-    for r in rows if top is None else rows[:top]:
+    for r in rows:
         lines.append("%s\t%.3f\t%d\t%d" % (r.word, r.proportion, r.freq_ext_peak, r.freq))
     return "\n".join(lines) + "\n"
 

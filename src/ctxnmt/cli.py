@@ -199,13 +199,13 @@ def cmd_train(args) -> int:
     manifest = start_manifest("train", config)
     failure = None
     try:
-        result = train(params, examples, config.hyper, savepoint_schedule=args.savepoints)
+        result = train(params, examples, savepoint_schedule=args.savepoints)
     except NumericError as exc:  # keep what was trained before the failing step
         failure, result = exc, exc.result
         manifest.status, manifest.error = "failed", str(exc)
 
     out = _out_dir(config)
-    for p in (src, trg, docs, args.meta):
+    for p in (src, trg, args.meta or docs):
         manifest.add_input(p)
     for ckpt in result.checkpoints:
         path = out / ("checkpoint-%06d.ckpt" % ckpt.step)
@@ -234,10 +234,6 @@ def cmd_train(args) -> int:
 def cmd_translate(args) -> int:
     config = _load_base_config(args)
     models = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
-    vocabs = [(m.src_vocab.tokens, m.trg_vocab.tokens) for m in models]
-    for path, vocab in zip(args.checkpoint[1:], vocabs[1:]):
-        if vocab != vocabs[0]:  # members' output distributions are averaged id by id
-            raise ConfigError("ensemble member %s has other vocabularies than %s" % (path, args.checkpoint[0]))
     beam = config.beam
     src_lines = _read_lines(args.source)
 

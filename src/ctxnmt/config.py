@@ -196,5 +196,4 @@ def start_manifest(command: str, config: RunConfig) -> RunManifest:
 def _config_dict(config: RunConfig) -> dict:
     d = asdict(config)
     d["context"]["marking"] = config.context.marking.value
-    d["synth"]["lexicon"] = [list(pair) for pair in config.synth.lexicon]
     return d

@@ -7,13 +7,13 @@ side only) or break-separated (source and/or target side).  Context never
 crosses a document boundary.
 
 Also contains a deterministic synthetic pronoun-disambiguation corpus
-generator used for desk-scale experiments.
+generator, over a fixed lexicon, used for desk-scale experiments.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -88,8 +88,6 @@ class ContextConfig:
             raise ConfigError("context windows must be >= 0")
         if self.target_window > 0 and self.marking is not Marking.BREAK:
             raise ConfigError("target-side context requires break marking")
-        if self.marking is Marking.PREFIX and self.target_window != 0:
-            raise ConfigError("prefix marking is source-side only")
         if not self.context_prefix:
             raise ConfigError("context_prefix must be non-empty")
         if not self.break_token or any(c.isspace() for c in self.break_token):
@@ -270,8 +268,8 @@ def write_parallel_corpus(units: Iterable[TranslationUnit], src_path, trg_path, 
     write_lines(docs_path, (u.doc_id for u in units))
 
 
-def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_path, docs_path, meta_path=None):
-    """Write extended examples; the optional meta sidecar keeps focus offsets.
+def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_path, docs_path, meta_path):
+    """Write extended examples and the meta sidecar that keeps focus offsets.
 
     Meta format (TSV): doc_id, index_in_doc, source_focus_start,
     target_focus_start.  Downstream stages read offsets from here instead of
@@ -281,14 +279,13 @@ def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_pat
     write_lines(src_path, (" ".join(e.source_tokens) for e in examples))
     write_lines(trg_path, (" ".join(e.target_tokens) for e in examples))
     write_lines(docs_path, (e.origin[0] for e in examples))
-    if meta_path is not None:
-        write_lines(
-            meta_path,
-            (
-                "%s\t%d\t%d\t%d" % (e.origin[0], e.origin[1], e.source_focus_start, e.target_focus_start)
-                for e in examples
-            ),
-        )
+    write_lines(
+        meta_path,
+        (
+            "%s\t%d\t%d\t%d" % (e.origin[0], e.origin[1], e.source_focus_start, e.target_focus_start)
+            for e in examples
+        ),
+    )
 
 
 def read_extended_corpus(src_path, trg_path, meta_path) -> list[ExtendedExample]:
@@ -354,8 +351,6 @@ def write_lines(path, lines: Iterable[str]):
 # Only the previous unit disambiguates the target pronoun.
 # ---------------------------------------------------------------------------
 
-PRONOUN_CLASSES = ("fem", "masc", "neut", "plural")
-
 DEFAULT_LEXICON: tuple[tuple[str, str], ...] = (
     ("Hund", "masc"),
     ("Vogel", "masc"),
@@ -381,21 +376,14 @@ _AMBIGUOUS_PRONOUN = "sie"
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of the synthetic corpus generator."""
+    """Size and seed of a synthetic corpus; its nouns and their pronouns are
+    always DEFAULT_LEXICON and DEFAULT_PRONOUN_MAP."""
 
     num_docs: int = 100
     units_per_doc: int = 8
-    lexicon: tuple[tuple[str, str], ...] = DEFAULT_LEXICON
-    pronoun_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PRONOUN_MAP))
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.lexicon:
-            raise ConfigError("synthetic lexicon must be non-empty")
-        classes = {cls for _, cls in self.lexicon}
-        for cls in classes:
-            if cls not in self.pronoun_map:
-                raise ConfigError("pronoun_map is missing class %r" % cls)
         if self.num_docs < 0 or self.units_per_doc < 0:
             raise ConfigError("num_docs and units_per_doc must be >= 0")
 
@@ -414,13 +402,13 @@ def generate_synthetic_corpus(spec: SynthSpec) -> list[TranslationUnit]:
         current_class = None
         for i in range(spec.units_per_doc):
             if i % 2 == 0:
-                noun, current_class = spec.lexicon[rng.integers(len(spec.lexicon))]
+                noun, current_class = DEFAULT_LEXICON[rng.integers(len(DEFAULT_LEXICON))]
                 v_de, v_en = _INTRO_VERBS[rng.integers(len(_INTRO_VERBS))]
                 src = (_DETERMINER[current_class], noun, v_de, ".")
                 trg = ("the", noun, v_en, ".")
             else:
                 v_de, v_en = _PRON_VERBS[rng.integers(len(_PRON_VERBS))]
-                pron = spec.pronoun_map[current_class]
+                pron = DEFAULT_PRONOUN_MAP[current_class]
                 src = ("dann", v_de, _AMBIGUOUS_PRONOUN, ".")
                 trg = ("then", pron, v_en, ".")
             units.append(TranslationUnit(src, trg, doc_id, i))

@@ -129,12 +129,17 @@ def as_ensemble(params_or_ensemble) -> list[ModelParams]:
     of checkpoints keeps one float32 copy alive.  Decoding runs in float64
     because in float32 BLAS rounds a row differently depending on how many
     rows step with it, so the same hypothesis would score differently under
-    beam 1 and beam 8 (by ~1e-8)."""
+    beam 1 and beam 8 (by ~1e-8).  Members must share both vocabularies,
+    because their output distributions are averaged id by id and one source
+    encoding feeds them all; a member that does not is a ConfigError."""
     if isinstance(params_or_ensemble, ModelParams):
         params_or_ensemble = [params_or_ensemble]
     models = [m if m.dtype == np.float64 else m.astype(np.float64) for m in params_or_ensemble]
     if not models:
         raise ConfigError("ensemble must contain at least one checkpoint")
+    for i, m in enumerate(models[1:], start=2):
+        if (m.src_vocab.tokens, m.trg_vocab.tokens) != (models[0].src_vocab.tokens, models[0].trg_vocab.tokens):
+            raise ConfigError("ensemble member %d has other vocabularies than member 1" % i)
     return models
 
 

@@ -20,8 +20,6 @@ class MalformedCorpusError(CtxnmtError):
             where = str(path) if line is None else "%s:%d" % (path, line)
             message = "%s (%s)" % (message, where)
         super().__init__(message)
-        self.path = path
-        self.line = line
 
 
 class MalformedSegmentationError(CtxnmtError):

@@ -8,7 +8,8 @@ geometric mean so that identity corpora of very short segments still score 1.
 
 chrF operates on the character stream obtained by joining tokens with single
 spaces (spaces participate in n-grams), n = 1..6, uniform average over
-orders, with recall weighted by beta = 3.
+orders, with recall weighted by beta = 3 (chrF3).  Neither metric takes
+other orders or weights.
 
 Both metrics count n-grams in one numpy pass over a chunk of segment pairs
 (`_clipped_ngram_totals`): symbols are word ids for BLEU and code points for
@@ -33,6 +34,9 @@ from .errors import ConfigError, InputError
 TokenSeq = Sequence[str]
 
 CHI_SQUARE_CRITICAL_05 = 3.841  # 1 degree of freedom
+BLEU_MAX_ORDER = 4
+CHRF_BETA = 3.0
+CHRF_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,6 @@ class ChrFScore:
     score: float
     precision: float
     recall: float
-    beta: float = 3.0
-    max_n: int = 6
 
 
 # Segment pairs are counted a chunk at a time, each chunk holding about this
@@ -66,10 +68,15 @@ def _clipped_ngram_totals(
     """Corpus totals of hypothesis n-grams, reference n-grams and clipped
     matches, each a list over the orders n = 1..max_n.
 
-    `hypotheses` and `references` are aligned integer symbol arrays; an
-    n-gram of a hypothesis segment matches at most as often as it occurs in
-    the aligned reference segment.
+    `hypotheses` and `references` are aligned integer symbol arrays (lists
+    of different lengths are an InputError); an n-gram of a hypothesis
+    segment matches at most as often as it occurs in the aligned reference
+    segment.
     """
+    if len(hypotheses) != len(references):
+        raise InputError(
+            "hypothesis/reference length mismatch: %d vs %d" % (len(hypotheses), len(references))
+        )
     totals = ([0] * max_n, [0] * max_n, [0] * max_n)
     start = 0
     while start < len(hypotheses):
@@ -111,30 +118,26 @@ def _count_chunk(
         matches[n - 1] += int(np.minimum(hyp_counts[hi], ref_counts[ri]).sum())
 
 
-def bleu(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq], max_order: int = 4) -> BleuScore:
-    """Corpus-level BLEU over tokenized hypothesis/reference lists."""
-    if len(hypotheses) != len(references):
-        raise InputError(
-            "hypothesis/reference length mismatch: %d vs %d" % (len(hypotheses), len(references))
-        )
+def bleu(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> BleuScore:
+    """Corpus-level BLEU-4 over tokenized hypothesis/reference lists."""
     word_ids: dict[str, int] = {}
 
     def to_ids(tokens: TokenSeq) -> np.ndarray:
         return np.array([word_ids.setdefault(t, len(word_ids)) for t in tokens], dtype=np.int64)
 
     totals, _, matches = _clipped_ngram_totals(
-        [to_ids(h) for h in hypotheses], [to_ids(r) for r in references], max_order
+        [to_ids(h) for h in hypotheses], [to_ids(r) for r in references], BLEU_MAX_ORDER
     )
     hyp_len = sum(len(hyp) for hyp in hypotheses)
     ref_len = sum(len(ref) for ref in references)
 
     precisions = tuple(
-        (matches[i] / totals[i]) if totals[i] > 0 else 0.0 for i in range(max_order)
+        (matches[i] / totals[i]) if totals[i] > 0 else 0.0 for i in range(BLEU_MAX_ORDER)
     )
     if hyp_len == 0:
         return BleuScore(0.0, precisions, 0.0, 0, ref_len)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    used = [precisions[i] for i in range(max_order) if totals[i] > 0]
+    used = [precisions[i] for i in range(BLEU_MAX_ORDER) if totals[i] > 0]
     if not used or any(p == 0.0 for p in used):
         return BleuScore(0.0, precisions, bp, hyp_len, ref_len)
     log_mean = sum(math.log(p) for p in used) / len(used)
@@ -146,30 +149,21 @@ def _code_points(tokens: TokenSeq) -> np.ndarray:
     return np.frombuffer(" ".join(tokens).encode("utf-32-le"), dtype=np.uint32)
 
 
-def chrf(
-    hypotheses: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    beta: float = 3.0,
-    max_n: int = 6,
-) -> ChrFScore:
-    """Character n-gram F-score with recall weight beta (chrF3 by default)."""
-    if len(hypotheses) != len(references):
-        raise InputError(
-            "hypothesis/reference length mismatch: %d vs %d" % (len(hypotheses), len(references))
-        )
+def chrf(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> ChrFScore:
+    """chrF3: character 6-gram F-score with recall weighted 3 times precision."""
     hyp_totals, ref_totals, match_totals = _clipped_ngram_totals(
-        [_code_points(h) for h in hypotheses], [_code_points(r) for r in references], max_n
+        [_code_points(h) for h in hypotheses], [_code_points(r) for r in references], CHRF_MAX_N
     )
 
-    prec_terms = [match_totals[i] / hyp_totals[i] for i in range(max_n) if hyp_totals[i] > 0]
-    rec_terms = [match_totals[i] / ref_totals[i] for i in range(max_n) if ref_totals[i] > 0]
+    prec_terms = [match_totals[i] / hyp_totals[i] for i in range(CHRF_MAX_N) if hyp_totals[i] > 0]
+    rec_terms = [match_totals[i] / ref_totals[i] for i in range(CHRF_MAX_N) if ref_totals[i] > 0]
     precision = sum(prec_terms) / len(prec_terms) if prec_terms else 0.0
     recall = sum(rec_terms) / len(rec_terms) if rec_terms else 0.0
     if precision + recall == 0.0:
-        return ChrFScore(0.0, precision, recall, beta, max_n)
-    b2 = beta * beta
+        return ChrFScore(0.0, precision, recall)
+    b2 = CHRF_BETA * CHRF_BETA
     score = (1 + b2) * precision * recall / (b2 * precision + recall)
-    return ChrFScore(score, precision, recall, beta, max_n)
+    return ChrFScore(score, precision, recall)
 
 
 def score_extended(
@@ -235,6 +229,12 @@ SIE_PRONOUN_CLASSES: Mapping[str, tuple[str, ...]] = {
     "it": ("it",),
     "they_them": ("they", "them"),
 }
+_CATEGORY_OF_CLASS = {
+    "you": CATEGORY_POLITE_OTHER,
+    "she_her": CATEGORY_FEM_SINGULAR,
+    "it": CATEGORY_FEM_SINGULAR,
+    "they_them": CATEGORY_PLURAL,
+}
 
 _SUBJECT_OPENERS = {
     "i", "you", "he", "she", "it", "we", "they", "there", "that", "this",
@@ -253,7 +253,6 @@ class PronounOccurrence:
     system_translations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     category: str = CATEGORY_UNKNOWN
     correct: dict[str, bool] = field(default_factory=dict)
-    untranslated: dict[str, bool] = field(default_factory=dict)
 
 
 def _imperative_shaped(tokens: TokenSeq) -> bool:
@@ -266,34 +265,22 @@ def _imperative_shaped(tokens: TokenSeq) -> bool:
     return tokens[-1] in ("!", ".") or len(tokens) <= 4
 
 
-def category_from_reference(reference_tokens: TokenSeq) -> str:
-    """Assign the pronoun category from the reference translation."""
-    low = [t.lower() for t in reference_tokens]
-    cues = {"you", "she", "her", "it", "they", "them"}
-    if not any(t in cues for t in low):
-        if _imperative_shaped(reference_tokens):
-            return CATEGORY_POLITE_IMPERATIVE
-        return CATEGORY_UNKNOWN
-    if "you" in low:
-        return CATEGORY_POLITE_OTHER
-    if "she" in low or "her" in low or "it" in low:
-        return CATEGORY_FEM_SINGULAR
-    if "they" in low or "them" in low:
-        return CATEGORY_PLURAL
-    return CATEGORY_UNKNOWN
-
-
 def categorize_pronoun(occurrence: PronounOccurrence) -> str:
-    """Categorize one occurrence on the basis of its reference translation."""
-    return category_from_reference(occurrence.reference_tokens)
+    """Categorize one occurrence by the SIE_PRONOUN_CLASSES class its
+    reference realizes; a reference without one is a polite imperative when
+    it is shaped like a command, and unknown otherwise."""
+    ref_class = pronoun_class(occurrence.reference_tokens)
+    if ref_class is None:
+        return CATEGORY_POLITE_IMPERATIVE if _imperative_shaped(occurrence.reference_tokens) else CATEGORY_UNKNOWN
+    return _CATEGORY_OF_CLASS[ref_class]
 
 
 def pronoun_class(tokens: TokenSeq, classes: Mapping[str, tuple[str, ...]] = SIE_PRONOUN_CLASSES):
     """First pronoun class (in mapping priority order) realized in `tokens`.
 
-    Priority order mirrors the category cascade, so a sentence containing
-    both "you" and "them" is judged as a polite-you case.  Returns None when
-    no class is realized.
+    Priority order is the category cascade of categorize_pronoun, so a
+    sentence containing both "you" and "them" is judged as a polite-you
+    case.  Returns None when no class is realized.
     """
     low = {t.lower() for t in tokens}
     for name, forms in classes.items():
@@ -345,17 +332,11 @@ def judge_occurrences(
     occurrences: Sequence[PronounOccurrence],
     classes: Mapping[str, tuple[str, ...]] = SIE_PRONOUN_CLASSES,
 ):
-    """Fill per-system correctness for every occurrence (in place).
-
-    Hypotheses with no pronoun of any class where the reference has one are
-    counted wrong and flagged as untranslated/dropped.
-    """
+    """Fill per-system correctness (judge_pronoun) for every occurrence, in
+    place.  A hypothesis that drops a pronoun the reference has is wrong."""
     for occ in occurrences:
-        ref_class = pronoun_class(occ.reference_tokens, classes)
         for name, hyp in occ.system_translations.items():
-            hyp_class = pronoun_class(hyp, classes)
-            occ.correct[name] = hyp_class == ref_class
-            occ.untranslated[name] = ref_class is not None and hyp_class is None
+            occ.correct[name] = judge_pronoun(occ.reference_tokens, hyp, classes)
 
 
 @dataclass
@@ -377,12 +358,10 @@ class PronounReport:
     total: PronounCategoryRow
     unknown_count: int
 
-    def counts_2x2(self, system_a: str, system_b: str, category=None):
-        """(correct_a, wrong_a, correct_b, wrong_b) over one or all categories."""
-        rows = self.rows if category is None else [r for r in self.rows if r.category == category]
-        n = sum(r.occurrences for r in rows)
-        ca = sum(r.correct[system_a] for r in rows)
-        cb = sum(r.correct[system_b] for r in rows)
+    def counts_2x2(self, system_a: str, system_b: str):
+        """(correct_a, wrong_a, correct_b, wrong_b) over all categories."""
+        n = self.total.occurrences
+        ca, cb = self.total.correct[system_a], self.total.correct[system_b]
         return ca, n - ca, cb, n - cb
 
 

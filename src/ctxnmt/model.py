@@ -177,11 +177,11 @@ class ModelParams:
         return TensorViews(np.zeros_like(self.flat), self.specs)
 
 
-def init_params(hp: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, dtype=np.float32) -> ModelParams:
-    """Scaled-uniform (fan-based) initialization; forget-gate bias set to 1."""
+def init_params(hp: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary) -> ModelParams:
+    """Scaled-uniform (fan-based) float32 initialization; forget-gate bias set to 1."""
     rng = substream(hp.rng_seed, "init")
     specs = _tensor_specs(hp, len(src_vocab), len(trg_vocab))
-    params = ModelParams(hp, src_vocab, trg_vocab, np.zeros(sum(math.prod(s) for _, s in specs), dtype))
+    params = ModelParams(hp, src_vocab, trg_vocab, np.zeros(sum(math.prod(s) for _, s in specs), np.float32))
     for name, t in params.tensors.items():
         if not name.endswith("_b"):
             fan_in = t.shape[0]
@@ -644,11 +644,11 @@ class TrainResult:
     grad_norms: list[float] = field(default_factory=list)
     skipped: int = 0
 
-    def loss_decreased(self, fraction: float = 0.1) -> bool:
-        """Smoke criterion: mean loss over the last fraction of steps is below
-        that over the first fraction."""
+    def loss_decreased(self) -> bool:
+        """Smoke criterion: mean loss over the last tenth of the steps is below
+        that over the first tenth."""
         n = len(self.losses)
-        k = max(1, int(n * fraction))
+        k = max(1, int(n * 0.1))
         if n < 2:
             return False
         return float(np.mean(self.losses[-k:])) < float(np.mean(self.losses[:k]))
@@ -657,9 +657,10 @@ class TrainResult:
 class AdamOptimizer:
     """Adam with standard defaults, one update of the flat vector as in Apex's multi-tensor Adam."""
 
-    def __init__(self, params: ModelParams, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ModelParams, learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.t = 0
@@ -691,11 +692,11 @@ def _to_id_pairs(params: ModelParams, examples: Sequence[ExtendedExample]):
 def train(
     params: ModelParams,
     examples: Sequence[ExtendedExample],
-    hp: HyperParams | None = None,
     savepoint_schedule: int = 4,
 ) -> TrainResult:
     """Minibatch training with Adam and savepoints: one backward call per
-    step over the whole padded batch.
+    step over the whole padded batch, with the model's own hyperparameters
+    (params.hyper, which every checkpoint records).
 
     savepoint_schedule is the number of evenly spaced checkpoints, the last
     at the end of training.  Zero epochs returns only the initialization
@@ -703,7 +704,7 @@ def train(
     partial TrainResult (the savepoints so far, the logs of every step
     before) as `exc.result`.
     """
-    hp = hp or params.hyper
+    hp = params.hyper
     if not examples:
         raise InputError("training corpus is empty")
     pairs, skipped = _to_id_pairs(params, examples)

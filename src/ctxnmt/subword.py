@@ -309,7 +309,7 @@ def word_frequencies(lines: Iterable[Sequence[str]], protected=default_protected
     freqs: Counter = Counter()
     for tokens in lines:
         for tok in tokens:
-            if protected is None or not protected(tok):
+            if not protected(tok):
                 freqs[tok] += 1
     return freqs
 

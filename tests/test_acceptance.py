@@ -250,7 +250,7 @@ def test_criterion_07_copy_task():
     hp = HyperParams(embed_dim=24, hidden_dim=32, attention_dim=24, learning_rate=0.005,
                      batch_size=5, epochs=60, rng_seed=7)
     params = init_params(hp, vocab, vocab)
-    train(params, examples, hp, savepoint_schedule=1)
+    train(params, examples, savepoint_schedule=1)
     hits = 0
     for unit in units:
         ids = vocab.encode(unit.source_tokens)
@@ -290,7 +290,7 @@ def test_criterion_08_synthetic_pronoun_experiment():
         hp = HyperParams(embed_dim=24, hidden_dim=32, attention_dim=24,
                          learning_rate=0.004, batch_size=16, epochs=2, rng_seed=11)
         params = init_params(hp, src_vocab, trg_vocab)
-        train(params, train_ex, hp, savepoint_schedule=1)
+        train(params, train_ex, savepoint_schedule=1)
         outs = []
         for ex in test_ex:
             ids = src_vocab.encode(ex.source_tokens)

@@ -64,3 +64,38 @@ def test_train_and_translate_record_the_traced_spans(tmp_path):
                  "decode.write_attention_records"):
         assert span in recorded, span
     assert tracer.counters.get("decode.hyp_tokens", 0) > 0
+
+
+def test_traced_commands_read_every_expected_metric(tmp_path):
+    # one tiny pass of every command; a per-layer metric that some workload expects must not read zero
+    d = str(tmp_path)
+    tiny = ["--embed-dim", "4", "--hidden-dim", "5", "--attention-dim", "3"]
+    commands = [
+        ["synth", "--num-docs", "4", "--units-per-doc", "4", "--seed", "3", "--prefix", "s"],
+        ["prepare", "--source", d + "/s.src", "--target", d + "/s.trg", "--docs", d + "/s.docs", "--mode", "2+2",
+         "--prefix", "ext"],
+        ["bpe-learn", "--input", d + "/s.src", d + "/s.trg", "--num-merges", "10", "--out-model", d + "/codes.bpe"],
+        ["bpe-apply", "--model", d + "/codes.bpe", "--input", d + "/ext.src", "--output", d + "/ext.bpe.src"],
+        ["train", "--source", d + "/ext.src", "--target", d + "/ext.trg", "--docs", d + "/ext.docs",
+         "--meta", d + "/ext.meta", "--epochs", "2", "--batch-size", "4", "--savepoints", "2"] + tiny,
+        ["translate", "--checkpoint", d + "/checkpoint-000008.ckpt", "--source", d + "/ext.src",
+         "--meta", d + "/ext.meta", "--prefix", "greedy", "--beam-size", "1", "--alpha", "0"],
+        ["translate", "--checkpoint", d + "/checkpoint-000004.ckpt", "--checkpoint", d + "/checkpoint-000008.ckpt",
+         "--source", d + "/ext.src", "--meta", d + "/ext.meta", "--prefix", "beam", "--beam-size", "4"],
+        ["score", "--hyp", d + "/beam.trg", "--ref", d + "/ext.trg", "--report", d + "/plain.tsv"],
+        ["score", "--hyp", d + "/beam.trg", "--ref", d + "/s.trg", "--docs", d + "/s.docs", "--regime", "extended",
+         "--segment-mode", "last", "--report", d + "/extended.tsv"],
+        ["attn-stats", "--attn", d + "/beam.attn.jsonl", "--model-kind", "2+2"],
+        ["pronoun-eval", "--source", d + "/s.src", "--ref", d + "/s.trg", "--system", "greedy=" + d + "/greedy.trg",
+         "--pronoun-forms", "sie", "--classes", "he=he,she=she,it=it,they=they"],
+    ]
+    tracer = bench_trace.Tracer(MODULES)
+    tracer.install()
+    try:
+        for argv in commands:
+            assert cli.main(argv + ["--out", d]) == 0, argv[0]
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1, 0.0)
+    zero = [name for name, workloads in bench_trace.EXPECTED_NONZERO.items() if workloads and not metrics[name]]
+    assert zero == []

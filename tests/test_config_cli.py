@@ -344,10 +344,24 @@ class TestCli:
         code = main(["pronoun-eval", "--source", str(tmp_path / "s.src"), "--ref", str(tmp_path / "s.ref"),
                      "--system", "sys=" + str(tmp_path / "s.hyp"), "--pronoun-forms", "sie",
                      "--classes", "he=he|him,she=she|her,it=it,they=they|them",
-                     "--out", str(tmp_path)])
+                     "--export-adjudication", str(tmp_path / "adjudicate.tsv"), "--out", str(tmp_path)])
         assert code == 0
         report = (tmp_path / "eval-pronoun.tsv").read_text()
         assert "he\t1\t0.0" in report  # one occurrence of class he, judged wrong
+        assert (tmp_path / "adjudicate.tsv").read_text().splitlines() == [
+            "index\tcategory\tsource\treference\tsys", "0\the\tdann fiel sie .\tthen he fell .\tthen she fell ."]
+        manifest = json.loads((tmp_path / "manifest-pronoun-eval.json").read_text())
+        assert str(tmp_path / "adjudicate.tsv") in manifest["output_checksums"]
+
+    def test_heatmap_without_image(self, tmp_path):
+        attn = tmp_path / "hyp.attn.jsonl"
+        attn.write_text('{"index": 0, "source_tokens": ["a", "b"], "target_tokens": ["x"], "weights": [[0.25, 0.75]]}\n')
+        for out, flags, written in (("image", [], ["heatmap-0000.pgm", "heatmap-0000.tsv"]),
+                                    ("plain", ["--no-image"], ["heatmap-0000.tsv"])):
+            assert main(["heatmap", "--attn", str(attn), "--index", "0", "--out", str(tmp_path / out)] + flags) == 0
+            assert sorted(p.name for p in (tmp_path / out).glob("heatmap-*")) == written
+            manifest = json.loads((tmp_path / out / "manifest-heatmap-0000.json").read_text())
+            assert sorted(manifest["output_checksums"]) == [str(tmp_path / out / name) for name in written]
 
 
 class TestInputBoundaries:
@@ -509,6 +523,11 @@ class TestInputBoundaries:
         assert manifest["counters"] == {"steps": 3, "skipped": 1, "src_vocab": 7, "trg_vocab": 7,
                                         "params": params.num_params()}
         assert (manifest["status"], manifest["error"]) == ("ok", "")
+        # only the files a run reads are hashed: the .docs without --meta, the .meta with it
+        assert sorted(manifest["input_checksums"]) == [str(d / name) for name in ("in.docs", "in.src", "in.trg")]
+        assert main(train + ["--meta", str(d / "in.meta"), "--out", str(d / "meta-run")]) == 0
+        manifest = json.loads((d / "meta-run" / "manifest-train.json").read_text())
+        assert sorted(manifest["input_checksums"]) == [str(d / name) for name in ("in.meta", "in.src", "in.trg")]
 
     def test_failed_train_leaves_its_evidence(self, corpus, monkeypatch, capsys):
         d, _ = corpus

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxnmt.corpus import (
+    DEFAULT_LEXICON,
+    DEFAULT_PRONOUN_MAP,
     ContextConfig,
     Marking,
     SynthSpec,
@@ -248,12 +250,12 @@ class TestSynthetic:
     def test_pronoun_follows_antecedent(self):
         spec = SynthSpec(num_docs=20, units_per_doc=6, rng_seed=3)
         units = generate_synthetic_corpus(spec)
-        classes = dict(spec.lexicon)
+        classes = dict(DEFAULT_LEXICON)
         for prev, unit in zip(units, units[1:]):
             if unit.index_in_doc % 2 == 1:
                 assert "sie" in unit.source_tokens
                 noun = prev.source_tokens[1]
-                expected = spec.pronoun_map[classes[noun]]
+                expected = DEFAULT_PRONOUN_MAP[classes[noun]]
                 assert expected in unit.target_tokens
                 # pronoun-unit source must not leak the class
                 assert unit.source_tokens[0] == "dann"
@@ -261,7 +263,7 @@ class TestSynthetic:
     def test_class_distribution_roughly_uniform(self):
         spec = SynthSpec(num_docs=400, units_per_doc=2, rng_seed=11)
         units = generate_synthetic_corpus(spec)
-        classes = dict(spec.lexicon)
+        classes = dict(DEFAULT_LEXICON)
         counts = {}
         for u in units:
             if u.index_in_doc % 2 == 0:

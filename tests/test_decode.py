@@ -56,7 +56,7 @@ def trained_copy_model():
         epochs=30, batch_size=5, rng_seed=2,
     )
     params = init_params(hp, vocab, vocab)
-    train(params, examples, hp, savepoint_schedule=1)
+    train(params, examples, savepoint_schedule=1)
     return params, vocab, units
 
 
@@ -139,6 +139,15 @@ class TestBeam:
         _, src_vocab = random_model
         with pytest.raises(ConfigError):
             beam_search([], src_vocab.encode(["a"]), BeamConfig())
+
+    @pytest.mark.parametrize("extra", [[], ["z"]], ids=["reordered", "larger"])
+    def test_members_with_other_target_tokens_rejected(self, random_model, extra):
+        # members' output distributions are averaged id by id
+        params, src_vocab = random_model
+        tokens = params.trg_vocab.tokens
+        other = init_params(params.hyper, src_vocab, Vocabulary(tokens[:4] + tokens[4:][::-1] + extra))
+        with pytest.raises(ConfigError):
+            beam_decode([params, other], src_vocab.encode(["a", "b"]), BeamConfig(beam_size=2))
 
     def test_beam_eight_corpus_logprob_at_least_beam_one(self, trained_copy_model):
         params, vocab, units = trained_copy_model

@@ -366,7 +366,7 @@ class TestTrain:
         hp = HyperParams(embed_dim=8, hidden_dim=8, attention_dim=8, epochs=0, rng_seed=1)
         params = init_params(hp, vocab, vocab)
         before = {k: v.copy() for k, v in params.tensors.items()}
-        result = train(params, examples, hp)
+        result = train(params, examples)
         assert len(result.checkpoints) == 1
         assert result.checkpoints[0].step == 0
         for name, tensor in result.checkpoints[0].params.tensors.items():
@@ -379,7 +379,7 @@ class TestTrain:
         results = []
         for _ in range(2):
             params = init_params(hp, vocab, vocab)
-            results.append(train(params, examples, hp, savepoint_schedule=2))
+            results.append(train(params, examples, savepoint_schedule=2))
         assert [c.step for c in results[0].checkpoints] == [c.step for c in results[1].checkpoints]
         for c1, c2 in zip(results[0].checkpoints, results[1].checkpoints):
             for name in c1.params.tensors:
@@ -394,7 +394,7 @@ class TestTrain:
             epochs=8, batch_size=4, rng_seed=5,
         )
         params = init_params(hp, vocab, vocab)
-        result = train(params, examples, hp)
+        result = train(params, examples)
         assert result.loss_decreased()
         steps_per_epoch = len(result.losses) // hp.epochs
         epoch_means = [
@@ -409,7 +409,7 @@ class TestTrain:
         vocab = Vocabulary.build([e.source_tokens for e in examples])
         hp = HyperParams(embed_dim=8, hidden_dim=8, attention_dim=8, epochs=2, batch_size=5, rng_seed=1)
         params = init_params(hp, vocab, vocab)
-        result = train(params, examples, hp, savepoint_schedule=4)
+        result = train(params, examples, savepoint_schedule=4)
         assert len(result.checkpoints) == 4
         total_steps = 2 * ((len(examples) + 4) // 5)
         assert result.checkpoints[-1].step == total_steps
