@@ -36,7 +36,6 @@ from .model import (  # noqa: F401
 )
 from .decode import (  # noqa: F401
     BeamConfig,
-    Hypothesis,
     beam_decode,
     beam_search,
     extract_scored_segment,

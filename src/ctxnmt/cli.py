@@ -364,22 +364,31 @@ def _parse_classes(spec: str):
         if "=" not in part:
             raise ConfigError("--classes expects name=form|form,... got %r" % part)
         name, forms = part.split("=", 1)
-        classes[name.strip()] = tuple(f.strip() for f in forms.split("|") if f.strip())
+        forms = tuple(f.strip() for f in forms.split("|") if f.strip())
+        if not forms:
+            raise ConfigError("--classes entry %r has no forms" % part)
+        classes[name.strip()] = forms
     return classes
 
 
 def cmd_pronoun_eval(args) -> int:
     config = _load_base_config(args)
+    paths = {}
+    for spec in args.system:
+        name, sep, path = spec.partition("=")
+        if not sep:
+            raise ConfigError("--system expects name=path, got %r" % spec)
+        if name in paths:
+            raise ConfigError("--system %r is given twice" % name)
+        paths[name] = path
+    for name in args.chi2 or ():
+        if name not in paths:
+            raise ConfigError("--chi2 names system %r, which no --system gives" % name)
+    classes = _parse_classes(args.classes) if args.classes else metrics.SIE_PRONOUN_CLASSES
     source = _read_lines(args.source)
     ref = _read_lines(args.ref)
-    systems = {}
-    for spec in args.system:
-        if "=" not in spec:
-            raise ConfigError("--system expects name=path, got %r" % spec)
-        name, path = spec.split("=", 1)
-        systems[name] = _read_lines(path)
+    systems = {name: _read_lines(path) for name, path in paths.items()}
     forms = tuple(args.pronoun_forms.split(","))
-    classes = _parse_classes(args.classes) if args.classes else metrics.SIE_PRONOUN_CLASSES
     occurrences = metrics.extract_pronoun_occurrences(source, ref, systems, forms)
     if args.classes:
         # custom class sets double as categories (one per class)

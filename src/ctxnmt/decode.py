@@ -4,11 +4,13 @@ two-sided context models.  Greedy decoding is beam search with beam size 1
 and alpha = beta = 0.
 
 All live hypotheses of a sentence advance together as the rows of one
-batched decoder state.  Ensembles average the per-step output probability
-distributions of their member checkpoints before taking the log; attention
-weights are averaged the same way.  The reserved <pad> and <bos> ids are
-never emitted.  Break tokens are ordinary vocabulary items: nothing
-constrains their generation.
+batched decoder state.  A hypothesis is a chain of back-pointer nodes, scored
+once when it is made (tests/oracles.py's oracle_beam_search, which copies
+every candidate's lists instead, is the bit-for-bit reference).  Ensembles
+average the per-step output probability distributions of their member
+checkpoints before taking the log; attention weights are averaged the same
+way.  The reserved <pad> and <bos> ids are never emitted.  Break tokens are
+ordinary vocabulary items: nothing constrains their generation.
 
 A decode returns ids and one (T, S) attention matrix (DecodeResult); the
 translate command maps the ids to tokens once, into the AttentionExport that
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,24 +71,35 @@ class BeamConfig:
         return int(limit) + self.max_len_constant
 
 
-@dataclass
-class Hypothesis:
-    """One beam entry: tokens so far with accumulated log-probability, its
-    row in the batched decoder state, and the running sum of its attention."""
+class Node(NamedTuple):
+    """A token with its attention row, the node before it, the hypothesis's
+    length and the running sum of its rows.  The root is <bos> with no row
+    and no parent."""
 
-    token_ids: list[int]
-    log_prob: float
-    attention_rows: list[np.ndarray]
-    finished: bool
-    row: int
+    token: int
+    weights: np.ndarray | None
+    parent: Node | None
+    length: int
     coverage: np.ndarray
 
-    def score(self, config: BeamConfig) -> float:
-        length = max(1, len(self.token_ids))
-        value = self.log_prob / (length ** config.length_norm_alpha)
-        if config.coverage_beta > 0.0 and self.attention_rows:
-            value += config.coverage_beta * np.sum(np.log(np.minimum(self.coverage, 1.0)))
-        return value
+
+class Entry(NamedTuple):
+    """A beam entry, scored once when it is made.  Taking <eos> finishes it
+    and adds no node; row is its row in the batched decoder state."""
+
+    score: float
+    log_prob: float
+    node: Node
+    finished: bool
+    row: int
+
+
+def _score(log_prob: float, node: Node, config: BeamConfig) -> float:
+    """Length-normalised log-prob plus Wu et al.'s (2016) coverage penalty."""
+    value = log_prob / (max(1, node.length) ** config.length_norm_alpha)
+    if config.coverage_beta > 0.0 and node.length:
+        value += config.coverage_beta * np.sum(np.log(np.minimum(node.coverage, 1.0)))
+    return value
 
 
 @dataclass
@@ -106,15 +119,12 @@ class DecodeResult:
 def _ensemble_step(models, states, prev_ids):
     """Average member probabilities over K hypotheses; returns (new_states,
     log_probs (K, V), attention (K, S)) with reserved ids at -inf."""
-    new_states = []
-    probs = None
-    attn = None
+    new_states, probs, attn = [], 0.0, 0.0
     for params, state in zip(models, states):
         state, log_p, a = decode_step(params, state, prev_ids)
         new_states.append(state)
-        p = np.exp(log_p)
-        probs = p if probs is None else probs + p
-        attn = a.astype(np.float64) if attn is None else attn + a
+        probs = probs + np.exp(log_p)
+        attn = attn + a
     probs /= len(models)
     attn /= len(models)
     if not np.isfinite(probs).all():
@@ -150,7 +160,7 @@ def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
     return beam_decode(params_or_ensemble, source_ids, config)
 
 
-def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesis:
+def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Entry:
     """Standard length-normalized beam search over an ensemble.
 
     Each step advances all live hypotheses as one batch.  Every live
@@ -158,59 +168,53 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesi
     these expansions are sorted stably by score and the best beam_size kept.
     The search takes at most config.max_len(len(source_ids)) steps, and at
     most the smallest max_target_len of the members: the longest target
-    (<eos> included) that training accepts.
+    (<eos> included) that training accepts.  Returns the best finished entry
+    (the best entry if none finished).
     """
     models = as_ensemble(params_or_ensemble)
     states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
-    start = Hypothesis(
-        token_ids=[], log_prob=0.0, attention_rows=[], finished=False, row=0, coverage=np.zeros(len(source_ids)),
-    )
-    beams = [start]
+    root = Node(BOS_ID, None, None, 0, np.zeros(len(source_ids)))
+    beams = [Entry(_score(0.0, root, config), 0.0, root, False, 0)]
 
     for _ in range(min(config.max_len(len(source_ids)), *(m.hyper.max_target_len for m in models))):
-        live = [h for h in beams if not h.finished]
+        live = [e for e in beams if not e.finished]
         if not live:
             break
-        rows = [h.row for h in live]
+        rows = [e.row for e in live]
         states = [DecoderState(st.h[rows], st.c[rows], st.encoder_states, st.enc_proj) for st in states]
-        prev_ids = np.array([h.token_ids[-1] if h.token_ids else BOS_ID for h in live])
-        states, log_probs, attn = _ensemble_step(models, states, prev_ids)
+        states, log_probs, attn = _ensemble_step(models, states, np.array([e.node.token for e in live]))
         top = np.argsort(-log_probs, axis=1, kind="stable")[:, : config.beam_size]
-        pool: list[Hypothesis] = [h for h in beams if h.finished]
-        for row, hyp in enumerate(live):
-            # siblings share these; no hypothesis mutates its lists or arrays
-            attention_rows = hyp.attention_rows + [attn[row]]
-            coverage = hyp.coverage + attn[row]
+        pool = [e for e in beams if e.finished]
+        for row, (_, log_prob, node, _, _) in enumerate(live):
+            weights = attn[row]
+            coverage = node.coverage + weights  # the siblings share both
             for token_id, step_log_prob in zip(top[row].tolist(), log_probs[row, top[row]].tolist()):
-                log_prob = hyp.log_prob + step_log_prob
+                total = log_prob + step_log_prob
                 if token_id == EOS_ID:
-                    pool.append(replace(hyp, log_prob=log_prob, finished=True))
+                    pool.append(Entry(_score(total, node, config), total, node, True, row))
                 else:
-                    pool.append(
-                        Hypothesis(
-                            token_ids=hyp.token_ids + [token_id],
-                            log_prob=log_prob,
-                            attention_rows=attention_rows,
-                            finished=False,
-                            row=row,
-                            coverage=coverage,
-                        )
-                    )
-        pool.sort(key=lambda h: -h.score(config))
+                    child = Node(token_id, weights, node, node.length + 1, coverage)
+                    pool.append(Entry(_score(total, child, config), total, child, False, row))
+        pool.sort(key=lambda e: -e.score)
         beams = pool[: config.beam_size]
 
-    finished = [h for h in beams if h.finished] or beams
-    return max(finished, key=lambda h: h.score(config))
+    finished = [e for e in beams if e.finished] or beams
+    return max(finished, key=lambda e: e.score)
 
 
 def beam_decode(params_or_ensemble, source_ids, config: BeamConfig) -> DecodeResult:
-    """beam_search's best hypothesis with its attention rows stacked."""
-    hyp = beam_search(params_or_ensemble, source_ids, config)
+    """beam_search's best entry with its ids and rows read off its nodes."""
+    best = beam_search(params_or_ensemble, source_ids, config)
+    node, ids, rows = best.node, [], []
+    while node.parent is not None:
+        ids.append(node.token)
+        rows.append(node.weights)
+        node = node.parent
     return DecodeResult(
-        target_ids=list(hyp.token_ids),
-        weights=np.stack(hyp.attention_rows) if hyp.attention_rows else np.zeros((0, len(source_ids))),
-        truncated=not hyp.finished,
-        log_prob=hyp.log_prob,
+        target_ids=ids[::-1],
+        weights=np.stack(rows[::-1]) if rows else np.zeros((0, len(source_ids))),
+        truncated=not best.finished,
+        log_prob=best.log_prob,
     )
 
 
@@ -266,22 +270,8 @@ class AttentionExport:
 def write_attention_records(path, exports: Sequence[AttentionExport]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ex in exports:
-            fh.write(
-                json.dumps(
-                    {
-                        "index": ex.index,
-                        "doc_id": ex.doc_id,
-                        "index_in_doc": ex.index_in_doc,
-                        "source_tokens": ex.source_tokens,
-                        "target_tokens": ex.target_tokens,
-                        "weights": ex.weights.tolist(),
-                        "source_focus_start": ex.source_focus_start,
-                        "break_token": ex.break_token,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
+            # every field of the export, the weights as nested lists
+            fh.write(json.dumps({**vars(ex), "weights": ex.weights.tolist()}, sort_keys=True, ensure_ascii=False))
             fh.write("\n")
 
 

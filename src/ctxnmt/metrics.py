@@ -247,8 +247,6 @@ class PronounOccurrence:
     """One occurrence of the ambiguous pronoun, with aligned translations."""
 
     source_tokens: tuple[str, ...]
-    token: str
-    token_index: int
     reference_tokens: tuple[str, ...]
     system_translations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     category: str = CATEGORY_UNKNOWN
@@ -312,12 +310,10 @@ def extract_pronoun_occurrences(
             raise InputError("system %r unit count differs from source" % name)
     occurrences = []
     for i, src in enumerate(source_units):
-        for j, tok in enumerate(src):
+        for tok in src:
             if tok in pronoun_forms:
                 occ = PronounOccurrence(
                     source_tokens=tuple(src),
-                    token=tok,
-                    token_index=j,
                     reference_tokens=tuple(reference_units[i]),
                     system_translations={
                         name: tuple(units[i]) for name, units in system_units.items()

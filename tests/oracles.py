@@ -7,9 +7,13 @@ implementations is meaningful.
 
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
+
+from ctxnmt.decode import BeamConfig, DecodeResult, _ensemble_step, as_ensemble
+from ctxnmt.model import BOS_ID, EOS_ID, DecoderState, encode, init_decoder_state
 
 
 def _ngrams_list(seq, n):
@@ -382,3 +386,85 @@ def oracle_run_decoder_backward(params, cache, d_states, grads):
     mask = trg_mask.T
     np.add.at(grads["trg_embed"], dec_in.T[mask], d_in[mask])
     return ds0
+
+
+# Beam search with one Hypothesis object per candidate: each copies its token
+# list and attention-row list, and every entry of the pool is re-scored at
+# every sort.  The package keeps back-pointer nodes scored once instead; the
+# outputs must be the same bits.
+
+
+@dataclass
+class Hypothesis:
+    """One beam entry: tokens so far with accumulated log-probability, its
+    row in the batched decoder state, and the running sum of its attention."""
+
+    token_ids: list[int]
+    log_prob: float
+    attention_rows: list[np.ndarray]
+    finished: bool
+    row: int
+    coverage: np.ndarray
+
+    def score(self, config: BeamConfig) -> float:
+        length = max(1, len(self.token_ids))
+        value = self.log_prob / (length ** config.length_norm_alpha)
+        if config.coverage_beta > 0.0 and self.attention_rows:
+            value += config.coverage_beta * np.sum(np.log(np.minimum(self.coverage, 1.0)))
+        return value
+
+
+def oracle_beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesis:
+    """Reference for decode.beam_search, returning the best Hypothesis."""
+    models = as_ensemble(params_or_ensemble)
+    states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
+    start = Hypothesis(
+        token_ids=[], log_prob=0.0, attention_rows=[], finished=False, row=0, coverage=np.zeros(len(source_ids)),
+    )
+    beams = [start]
+
+    for _ in range(min(config.max_len(len(source_ids)), *(m.hyper.max_target_len for m in models))):
+        live = [h for h in beams if not h.finished]
+        if not live:
+            break
+        rows = [h.row for h in live]
+        states = [DecoderState(st.h[rows], st.c[rows], st.encoder_states, st.enc_proj) for st in states]
+        prev_ids = np.array([h.token_ids[-1] if h.token_ids else BOS_ID for h in live])
+        states, log_probs, attn = _ensemble_step(models, states, prev_ids)
+        top = np.argsort(-log_probs, axis=1, kind="stable")[:, : config.beam_size]
+        pool: list[Hypothesis] = [h for h in beams if h.finished]
+        for row, hyp in enumerate(live):
+            # siblings share these; no hypothesis mutates its lists or arrays
+            attention_rows = hyp.attention_rows + [attn[row]]
+            coverage = hyp.coverage + attn[row]
+            for token_id, step_log_prob in zip(top[row].tolist(), log_probs[row, top[row]].tolist()):
+                log_prob = hyp.log_prob + step_log_prob
+                if token_id == EOS_ID:
+                    pool.append(replace(hyp, log_prob=log_prob, finished=True))
+                else:
+                    pool.append(
+                        Hypothesis(
+                            token_ids=hyp.token_ids + [token_id],
+                            log_prob=log_prob,
+                            attention_rows=attention_rows,
+                            finished=False,
+                            row=row,
+                            coverage=coverage,
+                        )
+                    )
+        pool.sort(key=lambda h: -h.score(config))
+        beams = pool[: config.beam_size]
+
+    finished = [h for h in beams if h.finished] or beams
+    return max(finished, key=lambda h: h.score(config))
+
+
+def oracle_beam_decode(params_or_ensemble, source_ids, config: BeamConfig) -> DecodeResult:
+    """Reference for decode.beam_decode: the best Hypothesis's rows stacked."""
+    hyp = oracle_beam_search(params_or_ensemble, source_ids, config)
+    return DecodeResult(
+        target_ids=list(hyp.token_ids),
+        weights=np.stack(hyp.attention_rows) if hyp.attention_rows else np.zeros((0, len(source_ids))),
+        truncated=not hyp.finished,
+        log_prob=hyp.log_prob,
+    )

@@ -353,6 +353,34 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest-pronoun-eval.json").read_text())
         assert str(tmp_path / "adjudicate.tsv") in manifest["output_checksums"]
 
+    def _pronoun_eval(self, tmp_path, *flags):
+        (tmp_path / "s.src").write_text("dann fiel sie .\n")
+        (tmp_path / "s.ref").write_text("then he fell .\n")
+        for name in ("x", "y"):
+            (tmp_path / (name + ".hyp")).write_text("then %s fell .\n" % ("she" if name == "x" else "he"))
+        return main(["pronoun-eval", "--source", str(tmp_path / "s.src"), "--ref", str(tmp_path / "s.ref"),
+                     "--pronoun-forms", "sie", "--out", str(tmp_path / "out")] + list(flags))
+
+    def test_pronoun_eval_chi2_of_unknown_system_is_config_error(self, tmp_path, capsys):
+        hyp = str(tmp_path / "x.hyp")
+        assert self._pronoun_eval(tmp_path, "--system", "a=" + hyp, "--chi2", "a", "b") == 2
+        assert "'b'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        other = str(tmp_path / "y.hyp")
+        assert self._pronoun_eval(tmp_path, "--system", "a=" + hyp, "--system", "b=" + other, "--chi2", "a", "b") == 0
+
+    def test_pronoun_eval_repeated_system_is_config_error(self, tmp_path, capsys):
+        flags = ["--system", "a=" + str(tmp_path / "x.hyp"), "--system", "a=" + str(tmp_path / "y.hyp")]
+        assert self._pronoun_eval(tmp_path, *flags) == 2
+        assert "'a'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pronoun_eval_class_without_forms_is_config_error(self, tmp_path, capsys):
+        flags = ["--system", "a=" + str(tmp_path / "x.hyp"), "--classes", "he=he|him,x=,she=she"]
+        assert self._pronoun_eval(tmp_path, *flags) == 2
+        assert "'x='" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_heatmap_without_image(self, tmp_path):
         attn = tmp_path / "hyp.attn.jsonl"
         attn.write_text('{"index": 0, "source_tokens": ["a", "b"], "target_tokens": ["x"], "weights": [[0.25, 0.75]]}\n')

@@ -20,6 +20,7 @@ from ctxnmt.decode import (
 from ctxnmt.errors import ConfigError, NumericError
 from ctxnmt.model import (
     BOS_ID,
+    EOS_ID,
     PAD_ID,
     HyperParams,
     Vocabulary,
@@ -31,6 +32,7 @@ from ctxnmt.model import (
 )
 
 from attention_checks import assert_attention_rows
+from oracles import oracle_beam_decode, oracle_beam_search
 
 
 @pytest.fixture(scope="module")
@@ -161,17 +163,21 @@ class TestBeam:
 
     def test_hypothesis_logprob_nonincreasing(self, random_model):
         params, src_vocab = random_model
-        hyp = beam_search(params, src_vocab.encode(["a", "b"]), BeamConfig(beam_size=2))
-        assert hyp.log_prob <= 0.0
+        ids = src_vocab.encode(["a", "b"])
+        config = BeamConfig(beam_size=2)
+        result = beam_decode(params, ids, config)
+        assert result.log_prob <= 0.0
+        assert oracle_beam_search(params, ids, config).log_prob == result.log_prob
 
     def test_coverage_score_matches_stacked_attention(self, trained_copy_model):
         params, vocab, units = trained_copy_model
         config = BeamConfig(beam_size=4, length_norm_alpha=0.6, coverage_beta=0.3)
-        hyp = beam_search(params, vocab.encode(units[0].source_tokens), config)
-        assert hyp.attention_rows
-        coverage = np.sum(np.stack(hyp.attention_rows), axis=0)
-        expected = hyp.log_prob / len(hyp.token_ids) ** 0.6 + 0.3 * np.sum(np.log(np.minimum(coverage, 1.0)))
-        assert hyp.score(config) == pytest.approx(expected, abs=1e-9)
+        ids = vocab.encode(units[0].source_tokens)
+        result = beam_decode(params, ids, config)
+        assert result.target_ids
+        coverage = np.sum(result.weights, axis=0)
+        expected = result.log_prob / len(result.target_ids) ** 0.6 + 0.3 * np.sum(np.log(np.minimum(coverage, 1.0)))
+        assert oracle_beam_search(params, ids, config).score(config) == pytest.approx(expected, abs=1e-9)
 
     def test_reserved_ids_never_emitted(self, random_model):
         params, src_vocab = random_model
@@ -196,6 +202,66 @@ class TestBeam:
         covered = beam_decode(params, ids, BeamConfig(beam_size=4, coverage_beta=0.2))
         for result in (plain, covered):
             assert result.weights.shape[0] == len(result.target_ids)
+
+
+def _perturbed(params, seed):
+    """A second ensemble member: params with noise on every tensor."""
+    other = params.copy()
+    other.flat += np.random.default_rng(seed).normal(0.0, 0.05, size=other.flat.shape).astype(other.flat.dtype)
+    return other
+
+
+def _assert_same_decode(result, expected):
+    assert result.target_ids == expected.target_ids
+    assert result.weights.shape == expected.weights.shape
+    assert result.weights.tobytes() == expected.weights.tobytes()
+    assert result.truncated == expected.truncated
+    assert result.log_prob == expected.log_prob
+
+
+class TestBackPointerSearch:
+    """The search keeps back-pointer nodes scored once; the oracle copies each
+    hypothesis's lists and re-scores every entry at every sort.  Their
+    outputs must be the same bits."""
+
+    @pytest.mark.parametrize("members", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "copy"])
+    def test_equals_oracle_bit_for_bit(self, random_model, trained_copy_model, kind, members):
+        if kind == "random":
+            params, vocab = random_model
+            sources = [["a", "b", "c"], ["f", "e", "d", "c", "b", "a", "a"]]
+        else:
+            params, vocab, units = trained_copy_model
+            sources = [units[0].source_tokens, units[1].source_tokens]
+        ensemble = [params, _perturbed(params, 5)][:members]
+        lengths = [(0.0, 0), (0.0, 2), (BeamConfig.max_len_factor, BeamConfig.max_len_constant)]
+        for beam_size in (1, 2, 3, 8, len(params.trg_vocab) + 3):
+            for alpha in (0.0, 0.6, 1.0):
+                for beta in (0.0, 0.3):
+                    for factor, constant in lengths:
+                        config = BeamConfig(beam_size, factor, constant, alpha, beta)
+                        for tokens in sources:
+                            ids = vocab.encode(tokens)
+                            _assert_same_decode(beam_decode(ensemble, ids, config),
+                                                oracle_beam_decode(ensemble, ids, config))
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    def test_tied_ids_keep_the_lower_id_first(self, random_model, beam_size):
+        params, src_vocab = random_model
+        low, high = params.trg_vocab.id("v"), params.trg_vocab.id("x")
+        assert EOS_ID < low < high
+        tied = params.copy()
+        t = tied.tensors
+        t["out_W"][:, high] = t["out_W"][:, low]
+        t["out_b"][[low, high]] = 3.0
+        ids = src_vocab.encode(["a", "b", "c"])
+        tied64 = tied.astype(np.float64)
+        _, log_probs, _ = decode_step(tied64, init_decoder_state(tied64, encode(tied64, ids)), np.array([BOS_ID]))
+        assert log_probs[0, low] == log_probs[0, high] == log_probs[0].max()
+        one_step = BeamConfig(beam_size=beam_size, max_len_factor=0.0, max_len_constant=1)
+        assert beam_decode(tied, ids, one_step).target_ids == [low]
+        for config in (one_step, BeamConfig(beam_size=beam_size)):
+            _assert_same_decode(beam_decode(tied, ids, config), oracle_beam_decode(tied, ids, config))
 
 
 class TestSegmentExtraction:

@@ -209,19 +209,19 @@ class TestScoreExtended:
 
 class TestPronounCategories:
     def test_polite_imperative(self):
-        occ = PronounOccurrence(("Kommen", "Sie", "!"), "Sie", 1, ("Come", "!"))
+        occ = PronounOccurrence(("Kommen", "Sie", "!"), ("Come", "!"))
         assert categorize_pronoun(occ) == CATEGORY_POLITE_IMPERATIVE
 
     def test_plural(self):
-        occ = PronounOccurrence(("wo", "sind", "sie", "?"), "sie", 2, ("where", "are", "they", "?"))
+        occ = PronounOccurrence(("wo", "sind", "sie", "?"), ("where", "are", "they", "?"))
         assert categorize_pronoun(occ) == CATEGORY_PLURAL
 
     def test_polite_other(self):
-        occ = PronounOccurrence(("ich", "sehe", "Sie",), "Sie", 2, ("I", "see", "you", "."))
+        occ = PronounOccurrence(("ich", "sehe", "Sie",), ("I", "see", "you", "."))
         assert categorize_pronoun(occ) == CATEGORY_POLITE_OTHER
 
     def test_fem_singular(self):
-        occ = PronounOccurrence(("sie", "schläft",), "sie", 0, ("she", "sleeps", "."))
+        occ = PronounOccurrence(("sie", "schläft",), ("she", "sleeps", "."))
         assert categorize_pronoun(occ) == CATEGORY_FEM_SINGULAR
 
     def test_judgment(self):
@@ -234,7 +234,7 @@ class TestPronounAccuracy:
     def make_occurrences(self, n_correct, n_total, category=CATEGORY_PLURAL):
         occs = []
         for i in range(n_total):
-            occ = PronounOccurrence(("sie",), "sie", 0, ("they",))
+            occ = PronounOccurrence(("sie",), ("they",))
             occ.category = category
             occ.correct = {"baseline": i < n_correct}
             occs.append(occ)
