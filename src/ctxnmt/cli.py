@@ -233,7 +233,7 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     config = _load_base_config(args)
-    models = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
+    model = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
     beam = config.beam
     src_lines = _read_lines(args.source)
 
@@ -250,22 +250,21 @@ def cmd_translate(args) -> int:
     else:
         meta = [("", i, 0, 0) for i in range(len(src_lines))]
 
-    params = models[0]
     use_greedy = beam.beam_size == 1 and beam.length_norm_alpha == 0.0 and beam.coverage_beta == 0.0
-    sources = [params.src_vocab.encode(tokens) for tokens in src_lines]
+    sources = [model.src_vocab.encode(tokens) for tokens in src_lines]
     exports, truncated = [], 0
     for i, (ids, tokens, (doc_id, idx, src_start, _)) in enumerate(zip(sources, src_lines, meta)):
         if use_greedy:
-            result = greedy_decode(models, ids, beam.max_len(len(ids)))
+            result = greedy_decode(model, ids, beam.max_len(len(ids)))
         else:
-            result = beam_decode(models, ids, beam)
+            result = beam_decode(model, ids, beam)
         exports.append(
             AttentionExport(
                 index=i,
                 doc_id=doc_id,
                 index_in_doc=idx,
                 source_tokens=tokens,
-                target_tokens=result.target_tokens(params),
+                target_tokens=result.target_tokens(model),
                 weights=result.weights,
                 source_focus_start=src_start,
                 break_token=config.context.break_token,
@@ -286,7 +285,7 @@ def cmd_translate(args) -> int:
     manifest.add_output(attn_path)
     counters = manifest.counters = {
         "sentences": len(exports), "truncated": truncated, "source_tokens": sum(map(len, sources)),
-        "unknown_source_tokens": sum(int((ids == UNK_ID).sum()) for ids in sources), "ensemble": len(models)}
+        "unknown_source_tokens": sum(int((ids == UNK_ID).sum()) for ids in sources), "ensemble": len(model.flat)}
     manifest.write(out / ("manifest-translate-%s.json" % args.prefix))
     print("translate: %d sentences (%d truncated) -> %s" % (counters["sentences"], counters["truncated"], trg_path))
     return 0
@@ -364,10 +363,13 @@ def _parse_classes(spec: str):
         if "=" not in part:
             raise ConfigError("--classes expects name=form|form,... got %r" % part)
         name, forms = part.split("=", 1)
+        name = name.strip()
         forms = tuple(f.strip() for f in forms.split("|") if f.strip())
         if not forms:
             raise ConfigError("--classes entry %r has no forms" % part)
-        classes[name.strip()] = forms
+        if name in classes:
+            raise ConfigError("--classes names class %r twice" % name)
+        classes[name] = forms
     return classes
 
 

@@ -4,13 +4,18 @@ two-sided context models.  Greedy decoding is beam search with beam size 1
 and alpha = beta = 0.
 
 All live hypotheses of a sentence advance together as the rows of one
-batched decoder state.  A hypothesis is a chain of back-pointer nodes, scored
-once when it is made (tests/oracles.py's oracle_beam_search, which copies
-every candidate's lists instead, is the bit-for-bit reference).  Ensembles
-average the per-step output probability distributions of their member
-checkpoints before taking the log; attention weights are averaged the same
-way.  The reserved <pad> and <bos> ids are never emitted.  Break tokens are
-ordinary vocabulary items: nothing constrains their generation.
+batched decoder state.  An ensemble is one stacked model (as_ensemble): its
+members' weights carry a leading member axis, so one encode and one
+decode_step per search step serve every member, and members must share one
+shape.  Ensembles average the per-step output probability distributions of
+their members before taking the log; attention weights are averaged the same
+way, both summed in member order.  Each step scores its candidates as plain
+floats; only those that survive the cut to beam_size become entries, and a
+hypothesis is a chain of back-pointer nodes (tests/oracles.py's
+oracle_beam_search, which steps the members one at a time and copies every
+candidate's lists, is the bit-for-bit reference).  The reserved <pad> and
+<bos> ids are never emitted.  Break tokens are ordinary vocabulary items:
+nothing constrains their generation.
 
 A decode returns ids and one (T, S) attention matrix (DecodeResult); the
 translate command maps the ids to tokens once, into the AttentionExport that
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,33 +78,28 @@ class BeamConfig:
 
 class Node(NamedTuple):
     """A token with its attention row, the node before it, the hypothesis's
-    length and the running sum of its rows.  The root is <bos> with no row
-    and no parent."""
+    length, the running sum of its rows (None without a coverage penalty)
+    and Wu et al.'s (2016) coverage penalty of that sum.  The root is <bos>
+    with no row, no parent and no penalty."""
 
     token: int
     weights: np.ndarray | None
     parent: Node | None
     length: int
-    coverage: np.ndarray
+    coverage: np.ndarray | None
+    penalty: float
 
 
 class Entry(NamedTuple):
-    """A beam entry, scored once when it is made.  Taking <eos> finishes it
-    and adds no node; row is its row in the batched decoder state."""
+    """A beam entry: its score is the length-normalised log-prob plus its
+    node's coverage penalty.  Taking <eos> finishes it and adds no node; row
+    is its row in the batched decoder state."""
 
     score: float
     log_prob: float
     node: Node
     finished: bool
     row: int
-
-
-def _score(log_prob: float, node: Node, config: BeamConfig) -> float:
-    """Length-normalised log-prob plus Wu et al.'s (2016) coverage penalty."""
-    value = log_prob / (max(1, node.length) ** config.length_norm_alpha)
-    if config.coverage_beta > 0.0 and node.length:
-        value += config.coverage_beta * np.sum(np.log(np.minimum(node.coverage, 1.0)))
-    return value
 
 
 @dataclass
@@ -116,41 +116,62 @@ class DecodeResult:
         return [params.trg_vocab.token(i) for i in self.target_ids]
 
 
-def _ensemble_step(models, states, prev_ids):
-    """Average member probabilities over K hypotheses; returns (new_states,
-    log_probs (K, V), attention (K, S)) with reserved ids at -inf."""
-    new_states, probs, attn = [], 0.0, 0.0
-    for params, state in zip(models, states):
-        state, log_p, a = decode_step(params, state, prev_ids)
-        new_states.append(state)
-        probs = probs + np.exp(log_p)
-        attn = attn + a
-    probs /= len(models)
-    attn /= len(models)
+def _member_mean(x):
+    """The mean over the leading member axis, summed in member order:
+    ((x1 + x2) + x3) + ...  A single member is its own mean."""
+    return np.add.accumulate(x)[-1] / len(x) if len(x) > 1 else x[0]
+
+
+def _ensemble_step(model: ModelParams, state: DecoderState, prev_ids):
+    """One decode_step of every member of a stacked model; the member
+    probabilities and attention are averaged, summed in member order.
+    Returns (state, log_probs (K, V), attention (K, S)) with reserved ids at
+    -inf."""
+    state, log_p, attn = decode_step(model, state, prev_ids)
+    probs, attn = _member_mean(np.exp(log_p)), _member_mean(attn)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite output probabilities while decoding")
     log_probs = np.log(np.maximum(probs, 1e-300))
     log_probs[:, (PAD_ID, BOS_ID)] = -np.inf
-    return new_states, log_probs, attn
+    return state, log_probs, attn
 
 
-def as_ensemble(params_or_ensemble) -> list[ModelParams]:
-    """The members in float64, each converted as it is iterated, so a generator
-    of checkpoints keeps one float32 copy alive.  Decoding runs in float64
-    because in float32 BLAS rounds a row differently depending on how many
-    rows step with it, so the same hypothesis would score differently under
-    beam 1 and beam 8 (by ~1e-8).  Members must share both vocabularies,
-    because their output distributions are averaged id by id and one source
-    encoding feeds them all; a member that does not is a ConfigError."""
+def _dims(hyper) -> tuple[int, int, int]:
+    return hyper.embed_dim, hyper.hidden_dim, hyper.attention_dim
+
+
+def as_ensemble(params_or_ensemble) -> ModelParams:
+    """One stacked float64 model of the members: their flat vectors as one
+    (M, P) array, whose tensor views carry a leading member axis.  Only each
+    member's vector is kept until the stack is made, and a stacked model is
+    returned as it is.  Decoding runs in float64 because in float32 BLAS
+    rounds a row differently depending on how many rows step with it, so the
+    same hypothesis would score differently under beam 1 and beam 8 (by
+    ~1e-8).  Members must share both vocabularies, because their output
+    distributions are averaged id by id and one source encoding feeds them
+    all, and their embed, hidden and attention dims; a member that does not
+    is a ConfigError.  The stack's length caps are the smallest of its
+    members'."""
     if isinstance(params_or_ensemble, ModelParams):
+        if params_or_ensemble.flat.ndim == 2:
+            return params_or_ensemble
         params_or_ensemble = [params_or_ensemble]
-    models = [m if m.dtype == np.float64 else m.astype(np.float64) for m in params_or_ensemble]
-    if not models:
-        raise ConfigError("ensemble must contain at least one checkpoint")
-    for i, m in enumerate(models[1:], start=2):
-        if (m.src_vocab.tokens, m.trg_vocab.tokens) != (models[0].src_vocab.tokens, models[0].trg_vocab.tokens):
+    flats, hypers = [], []
+    for i, m in enumerate(params_or_ensemble, start=1):
+        if not hypers:
+            src_vocab, trg_vocab = m.src_vocab, m.trg_vocab
+        elif (m.src_vocab.tokens, m.trg_vocab.tokens) != (src_vocab.tokens, trg_vocab.tokens):
             raise ConfigError("ensemble member %d has other vocabularies than member 1" % i)
-    return models
+        elif _dims(m.hyper) != _dims(hypers[0]):
+            raise ConfigError("ensemble member %d has embed/hidden/attention dims %d/%d/%d, member 1 has %d/%d/%d"
+                              % (i, *_dims(m.hyper), *_dims(hypers[0])))
+        flats.append(m.flat)
+        hypers.append(m.hyper)
+    if not hypers:
+        raise ConfigError("ensemble must contain at least one checkpoint")
+    hyper = replace(hypers[0], max_source_len=min(h.max_source_len for h in hypers),
+                    max_target_len=min(h.max_target_len for h in hypers))
+    return ModelParams(hyper, src_vocab, trg_vocab, np.stack(flats, dtype=np.float64))
 
 
 def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
@@ -163,40 +184,63 @@ def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
 def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Entry:
     """Standard length-normalized beam search over an ensemble.
 
-    Each step advances all live hypotheses as one batch.  Every live
-    hypothesis offers its top beam_size tokens; the finished hypotheses plus
-    these expansions are sorted stably by score and the best beam_size kept.
-    The search takes at most config.max_len(len(source_ids)) steps, and at
-    most the smallest max_target_len of the members: the longest target
-    (<eos> included) that training accepts.  Returns the best finished entry
-    (the best entry if none finished).
+    Each step advances all live hypotheses, of every member, as one batch.
+    Every live hypothesis offers its top beam_size tokens; the finished
+    entries plus these candidates are sorted stably by score and the best
+    beam_size kept, and only those become entries.  A candidate's score is
+    its log-prob over max(1, length) ** alpha plus the coverage penalty,
+    which the siblings of a row share (taking <eos> keeps the parent's
+    length and penalty).  The search takes at most
+    config.max_len(len(source_ids)) steps, and at most the smallest
+    max_target_len of the members: the longest target (<eos> included) that
+    training accepts.  Returns the best finished entry (the best entry if
+    none finished).
     """
-    models = as_ensemble(params_or_ensemble)
-    states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
-    root = Node(BOS_ID, None, None, 0, np.zeros(len(source_ids)))
-    beams = [Entry(_score(0.0, root, config), 0.0, root, False, 0)]
+    model = as_ensemble(params_or_ensemble)
+    state = init_decoder_state(model, encode(model, source_ids))
+    beam, beta = config.beam_size, config.coverage_beta
+    steps = min(config.max_len(len(source_ids)), model.hyper.max_target_len)
+    norm = [max(1, n) ** config.length_norm_alpha for n in range(steps + 1)]
+    row_index = np.arange(beam)[:, None]
+    root = Node(BOS_ID, None, None, 0, np.zeros(len(source_ids)) if beta else None, 0.0)
+    beams = [Entry(0.0, 0.0, root, False, 0)]
 
-    for _ in range(min(config.max_len(len(source_ids)), *(m.hyper.max_target_len for m in models))):
+    for _ in range(steps):
         live = [e for e in beams if not e.finished]
         if not live:
             break
         rows = [e.row for e in live]
-        states = [DecoderState(st.h[rows], st.c[rows], st.encoder_states, st.enc_proj) for st in states]
-        states, log_probs, attn = _ensemble_step(models, states, np.array([e.node.token for e in live]))
-        top = np.argsort(-log_probs, axis=1, kind="stable")[:, : config.beam_size]
+        state = DecoderState(state.h[..., rows, :], state.c[..., rows, :], state.encoder_states, state.enc_proj)
+        state, log_probs, attn = _ensemble_step(model, state, np.array([e.node.token for e in live]))
+        top = np.argsort(-log_probs, axis=1, kind="stable")[:, :beam]
+        tokens, step_log_probs = top.tolist(), log_probs[row_index[: len(live)], top].tolist()
+        if beta:  # the children of a row share its coverage and penalty
+            coverages = [e.node.coverage + weights for e, weights in zip(live, attn)]
+            penalties = [beta * float(np.sum(np.log(np.minimum(c, 1.0)))) for c in coverages]
+        else:
+            coverages, penalties = [None] * len(live), [0.0] * len(live)
         pool = [e for e in beams if e.finished]
-        for row, (_, log_prob, node, _, _) in enumerate(live):
-            weights = attn[row]
-            coverage = node.coverage + weights  # the siblings share both
-            for token_id, step_log_prob in zip(top[row].tolist(), log_probs[row, top[row]].tolist()):
-                total = log_prob + step_log_prob
-                if token_id == EOS_ID:
-                    pool.append(Entry(_score(total, node, config), total, node, True, row))
-                else:
-                    child = Node(token_id, weights, node, node.length + 1, coverage)
-                    pool.append(Entry(_score(total, child, config), total, child, False, row))
-        pool.sort(key=lambda e: -e.score)
-        beams = pool[: config.beam_size]
+        scores = [e.score for e in pool]
+        for (_, log_prob, node, _, _), ids, lps, penalty in zip(live, tokens, step_log_probs, penalties):
+            child_norm = norm[node.length + 1]
+            scores += [(log_prob + lp) / child_norm + penalty for lp in lps]
+            if EOS_ID in ids:  # finishing keeps the node's length and penalty
+                j = ids.index(EOS_ID)
+                scores[j - len(ids)] = (log_prob + lps[j]) / norm[node.length] + node.penalty
+
+        beams = []
+        for i in sorted(range(len(scores)), key=scores.__getitem__, reverse=True)[:beam]:
+            if i < len(pool):
+                beams.append(pool[i])
+                continue
+            row, j = divmod(i - len(pool), top.shape[1])
+            _, log_prob, node, _, _ = live[row]
+            total, token = log_prob + step_log_probs[row][j], tokens[row][j]
+            if token == EOS_ID:
+                beams.append(Entry(scores[i], total, node, True, row))
+            else:
+                child = Node(token, attn[row], node, node.length + 1, coverages[row], penalties[row])
+                beams.append(Entry(scores[i], total, child, False, row))
 
     finished = [e for e in beams if e.finished] or beams
     return max(finished, key=lambda e: e.score)

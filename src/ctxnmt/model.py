@@ -14,8 +14,10 @@ mean covers real positions only, and padded target positions have loss
 weight 0, so no gradient flows from or into padding.  One LSTM step serves
 the encoder, the decoder and incremental decoding; the encoder's two
 directions step together as one recurrence.  Decoding encodes through the
-same code as a batch of one.  Runs are single-threaded and bit-reproducible
-for a given seed.
+same code as a batch of one.  encode, init_decoder_state and decode_step also
+take a stacked model (decode.as_ensemble), whose tensors carry a leading
+member axis, and step all its members in one call.  Runs are single-threaded
+and bit-reproducible for a given seed.
 
 The parameters are one flat vector, the named tensors views of it in
 checkpoint order; gradients and Adam's moments share the layout, so copy,
@@ -132,13 +134,21 @@ def _tensor_specs(hp: HyperParams, n_src: int, n_trg: int) -> list[tuple[str, tu
 
 class TensorViews(dict):
     """Named views of one vector `.flat` in _tensor_specs order, the layout of
-    PyTorch's parameters_to_vector.  Write in place: rebinding a name detaches it."""
+    PyTorch's parameters_to_vector.  Write in place: rebinding a name detaches it.
+
+    A stack of M such vectors, `.flat` (M, P), gives views with a leading
+    member axis; its vectors are (M, 1, n), so they broadcast over each
+    member's rows as an (n,) vector does over a model's."""
 
     def __init__(self, flat: np.ndarray, specs):
         offset = 0
+        lead = flat.shape[:-1]
         for name, shape in specs:
-            self[name] = flat[offset : offset + math.prod(shape)].reshape(shape)
-            offset += self[name].size
+            size = math.prod(shape)
+            if lead and len(shape) == 1:
+                shape = (1,) + shape
+            self[name] = flat[..., offset : offset + size].reshape(lead + shape)
+            offset += size
         self.flat = flat
 
     def check_finite(self, what: str):
@@ -150,7 +160,8 @@ class TensorViews(dict):
 
 class ModelParams:
     """The weights as one flat vector, its named views `tensors`, and the
-    vocabularies they were built for."""
+    vocabularies they were built for.  A stacked model (see
+    decode.as_ensemble) holds M members' vectors as `flat` (M, P)."""
 
     def __init__(self, hyper: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, flat: np.ndarray):
         self.hyper = hyper
@@ -302,10 +313,13 @@ def _run_lstm_backward(cache, d_out):
 
 def _project(t, cell, X):
     """Input share of a cell's gate pre-activations times the gate scale,
-    (x Wx + b) * scale, for X (..., E).  Halving columns is exact, so this is
-    x (Wx scale) + b scale bit for bit, and so is adding h (Wh scale)."""
-    scale, _ = _gate_affine(t[cell + "_b"].size // 4, X.dtype)
-    return (_flat(X) @ (t[cell + "_Wx"] * scale) + t[cell + "_b"] * scale).reshape(X.shape[:-1] + (-1,))
+    (x Wx + b) * scale, for X (..., E), or (M, ..., E) with a stack's views.
+    Halving columns is exact, so this is x (Wx scale) + b scale bit for bit,
+    and so is adding h (Wh scale)."""
+    Wx = t[cell + "_Wx"]
+    scale, _ = _gate_affine(Wx.shape[-1] // 4, X.dtype)
+    rows = X.reshape(Wx.shape[:-2] + (-1, X.shape[-1]))
+    return (rows @ (Wx * scale) + t[cell + "_b"] * scale).reshape(X.shape[:-1] + (-1,))
 
 
 def _project_backward(t, cell, X, dZ, grads):
@@ -358,19 +372,23 @@ def _target_batch(params: ModelParams, targets):
 
 def _encode(params: ModelParams, src_ids, src_mask):
     """Bidirectional encoding of a padded batch (B, S): states (B, S, 2H),
-    zero at padding, and the cache for _encode_backward.  Both directions
-    step together: row 0 of the stacked recurrence reads positions 0..S-1,
-    row 1 reads S-1..0, so right padding gives the reverse direction the zero
-    state it starts from."""
+    zero at padding, and the cache for _encode_backward; a stacked model's
+    states are (M, B, S, 2H).  All directions step together: direction 0 of
+    the stacked recurrence reads positions 0..S-1, direction 1 reads S-1..0,
+    so right padding gives the reverse direction the zero state it starts
+    from.  A stacked model's M members step their 2M directions as one."""
     t = params.tensors
-    X = t["src_embed"][src_ids.T]
+    lead = t["enc_fwd_Wh"].shape[:-2]  # (M,) for a stacked model
+    X = t["src_embed"][..., src_ids.T, :]
     mask = src_mask.T[..., None]
-    ZX = np.stack([_project(t, "enc_fwd", X), _project(t, "enc_bwd", X)[::-1]], axis=1)
-    Wh = np.stack([t["enc_fwd_Wh"], t["enc_bwd_Wh"]])
-    zero = np.zeros((2, len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
-    out, cache = _run_lstm(ZX, Wh, np.stack([mask, mask[::-1]], axis=1), zero, zero)
-    states = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1).transpose(1, 0, 2)
-    return np.ascontiguousarray(states), (src_ids, src_mask, X, cache)
+    ZX = np.stack([_project(t, "enc_fwd", X), _project(t, "enc_bwd", X)[..., ::-1, :, :]], axis=-3)
+    ZX = ZX.swapaxes(0, len(lead)).reshape((len(mask), -1) + ZX.shape[-2:])  # time first: (S, 2M, B, 4H)
+    Wh = np.stack([t["enc_fwd_Wh"], t["enc_bwd_Wh"]], axis=-3).reshape((-1,) + t["enc_fwd_Wh"].shape[-2:])
+    zero = np.zeros((len(Wh), len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
+    out, cache = _run_lstm(ZX, Wh, np.stack([mask, mask[::-1]] * (len(Wh) // 2), axis=1), zero, zero)
+    out = out.reshape(out.shape[:1] + lead + (2,) + out.shape[2:])
+    states = np.concatenate([out[..., 0, :, :], out[::-1, ..., 1, :, :]], axis=-1)  # (S, ..., B, 2H)
+    return np.ascontiguousarray(states.transpose(*range(1, states.ndim - 1), 0, -1)), (src_ids, src_mask, X, cache)
 
 
 def _encode_backward(params: ModelParams, cache, d_states, grads):
@@ -389,22 +407,25 @@ def _encode_backward(params: ModelParams, cache, d_states, grads):
 
 
 def encode(params: ModelParams, source_ids) -> np.ndarray:
-    """Bidirectional encoding: one (2*hidden_dim) state per input position."""
+    """Bidirectional encoding: one (2*hidden_dim) state per input position,
+    (S, 2H), or (M, S, 2H) for a stacked model."""
     states, _ = _encode(params, *_source_batch(params, [source_ids]))
-    return states[0]
+    return states[..., 0, :, :]
 
 
 def _attend_cached(params: ModelParams, queries, encoder_states, enc_proj=None, src_mask=None):
     """Additive attention of queries (H,) or (K, H) over encoder_states (S,
-    2H), or of a training batch's queries (B, T, H) over (B, S, 2H); then
-    enc_proj is (B, 1, S, A) and src_mask (B, 1, S) is False on padding,
-    which gets weight 0.  Returns (context, weights, tanh activations)."""
+    2H), of a stacked model's (M, K, H) over (M, S, 2H), or of a training
+    batch's queries (B, T, H) over (B, S, 2H).  enc_proj, the projected
+    encoder_states, has an axis for the query rows: (1, S, A), (M, 1, S, A)
+    or (B, 1, S, A).  src_mask (B, 1, S) is False on padding, which gets
+    weight 0.  Returns (context, weights, tanh activations)."""
     t = params.tensors
     if enc_proj is None:
         enc_proj = encoder_states @ t["attn_W_enc"]
     q = queries @ t["attn_W_dec"]
     k = np.tanh(enc_proj + q[..., None, :])
-    scores = k @ t["attn_v"]
+    scores = (k @ t["attn_v"][..., None])[..., 0]
     if src_mask is not None:
         scores = np.where(src_mask, scores, -np.inf)
     a = softmax(scores)
@@ -436,7 +457,7 @@ def _output_layer(params: ModelParams, states, encoder_states, enc_proj, src_mas
 @dataclass
 class DecoderState:
     """Incremental decoding state of K hypotheses for one sentence: h and c
-    are (K, H), one row per hypothesis."""
+    are (K, H), one row per hypothesis, or (M, K, H) for a stacked model."""
 
     h: np.ndarray
     c: np.ndarray
@@ -445,16 +466,20 @@ class DecoderState:
 
 
 def init_decoder_state(params: ModelParams, encoder_states) -> DecoderState:
-    s0, c0, _ = _init_decoder(params, encoder_states, len(encoder_states))
+    """The one-row state of encoder_states (S, 2H), or (M, S, 2H) for a
+    stacked model."""
+    s0, c0, _ = _init_decoder(params, encoder_states[..., None, :, :], encoder_states.shape[-2])
     enc_proj = encoder_states @ params.tensors["attn_W_enc"]
-    return DecoderState(h=s0[None, :], c=c0[None, :], encoder_states=encoder_states, enc_proj=enc_proj)
+    return DecoderState(h=s0, c=c0, encoder_states=encoder_states, enc_proj=enc_proj[..., None, :, :])
 
 
 def decode_step(params: ModelParams, state: DecoderState, prev_ids):
     """Advance every row one step, feeding prev_ids (K,); returns (new_state,
-    log_probs (K, V), attention_weights (K, S))."""
+    log_probs (K, V), attention_weights (K, S)).  A stacked model steps all
+    members as one batched matmul per weight and returns (M, K, V) and (M,
+    K, S)."""
     t = params.tensors
-    z = t["trg_embed"][prev_ids] @ t["dec_Wx"] + t["dec_b"] + state.h @ t["dec_Wh"]
+    z = t["trg_embed"][..., prev_ids, :] @ t["dec_Wx"] + t["dec_b"] + state.h @ t["dec_Wh"]
     scale, _ = _gate_affine(params.hyper.hidden_dim, z.dtype)
     h, c, _, _ = _lstm_cell(z * scale, state.c)
     log_probs, a, _ = _output_layer(params, h, state.encoder_states, state.enc_proj)

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ctxnmt.decode import BeamConfig, DecodeResult, _ensemble_step, as_ensemble
-from ctxnmt.model import BOS_ID, EOS_ID, DecoderState, encode, init_decoder_state
+from ctxnmt.decode import BeamConfig, DecodeResult
+from ctxnmt.errors import NumericError
+from ctxnmt.model import BOS_ID, EOS_ID, PAD_ID, DecoderState, ModelParams, decode_step, encode, init_decoder_state
 
 
 def _ngrams_list(seq, n):
@@ -390,8 +391,27 @@ def oracle_run_decoder_backward(params, cache, d_states, grads):
 
 # Beam search with one Hypothesis object per candidate: each copies its token
 # list and attention-row list, and every entry of the pool is re-scored at
-# every sort.  The package keeps back-pointer nodes scored once instead; the
-# outputs must be the same bits.
+# every sort.  The members step one at a time, each with its own state.  The
+# package steps one stacked model and keeps back-pointer nodes, made only for
+# the survivors of each cut, instead; the outputs must be the same bits.
+
+
+def _ensemble_step(models, states, prev_ids):
+    """Average member probabilities over K hypotheses; returns (new_states,
+    log_probs (K, V), attention (K, S)) with reserved ids at -inf."""
+    new_states, probs, attn = [], 0.0, 0.0
+    for params, state in zip(models, states):
+        state, log_p, a = decode_step(params, state, prev_ids)
+        new_states.append(state)
+        probs = probs + np.exp(log_p)
+        attn = attn + a
+    probs /= len(models)
+    attn /= len(models)
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite output probabilities while decoding")
+    log_probs = np.log(np.maximum(probs, 1e-300))
+    log_probs[:, (PAD_ID, BOS_ID)] = -np.inf
+    return new_states, log_probs, attn
 
 
 @dataclass
@@ -416,7 +436,9 @@ class Hypothesis:
 
 def oracle_beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Hypothesis:
     """Reference for decode.beam_search, returning the best Hypothesis."""
-    models = as_ensemble(params_or_ensemble)
+    if isinstance(params_or_ensemble, ModelParams):
+        params_or_ensemble = [params_or_ensemble]
+    models = [m.astype(np.float64) for m in params_or_ensemble]
     states = [init_decoder_state(m, encode(m, source_ids)) for m in models]
     start = Hypothesis(
         token_ids=[], log_prob=0.0, attention_rows=[], finished=False, row=0, coverage=np.zeros(len(source_ids)),

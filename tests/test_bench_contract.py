@@ -99,3 +99,24 @@ def test_traced_commands_read_every_expected_metric(tmp_path):
     metrics = tracer.layer_metrics(1, 0.0)
     zero = [name for name, workloads in bench_trace.EXPECTED_NONZERO.items() if workloads and not metrics[name]]
     assert zero == []
+
+
+def test_an_ensemble_makes_one_encode_per_sentence_and_one_decode_step_per_search_step(tmp_path):
+    # two copies of one checkpoint search exactly as the checkpoint alone does, so stepping the
+    # members one at a time would show as twice the spans of the one-member run
+    (tmp_path / "in.src").write_text("a b\nc\nb a c\n")
+    vocab = model.Vocabulary.build([["a", "b", "c"]])
+    params = model.init_params(model.HyperParams(embed_dim=4, hidden_dim=5, attention_dim=3), vocab, vocab)
+    model.save_checkpoint(params, tmp_path / "m.ckpt")
+    counts = []
+    for members in (1, 2):
+        tracer = bench_trace.Tracer(MODULES)
+        tracer.install()
+        try:
+            assert cli.main(["translate", "--source", str(tmp_path / "in.src"), "--out", str(tmp_path),
+                             "--beam-size", "4"] + ["--checkpoint", str(tmp_path / "m.ckpt")] * members) == 0
+        finally:
+            tracer.uninstall()
+        names = [name for name, _, _, _ in tracer.spans]
+        counts.append((names.count("model.encode"), names.count("model.decode_step")))
+    assert counts[1] == counts[0] and counts[0][0] == 3 and counts[0][1] >= 3

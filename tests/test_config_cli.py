@@ -381,6 +381,13 @@ class TestCli:
         assert "'x='" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_pronoun_eval_repeated_class_is_config_error(self, tmp_path, capsys):
+        # a repeated name would keep only its last forms and count the first ones as unknown
+        flags = ["--system", "a=" + str(tmp_path / "x.hyp"), "--classes", "he=he,he=him,she=she"]
+        assert self._pronoun_eval(tmp_path, *flags) == 2
+        assert "'he'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_heatmap_without_image(self, tmp_path):
         attn = tmp_path / "hyp.attn.jsonl"
         attn.write_text('{"index": 0, "source_tokens": ["a", "b"], "target_tokens": ["x"], "weights": [[0.25, 0.75]]}\n')
@@ -461,6 +468,33 @@ class TestInputBoundaries:
             assert export.source_tokens == source.split()
             assert export.target_tokens == line.split() == expected.target_tokens(params)
             assert export.weights.tobytes() == expected.weights.tobytes()
+
+    def _members(self, d, params, **second):
+        """Two checkpoints of the corpus vocabulary: params, and a member whose
+        hyperparameters differ by `second`.  Neither ends a search early."""
+        paths = [d / "m1.ckpt", d / "m2.ckpt"]
+        for hyper, path in ((params.hyper, paths[0]), (dataclasses.replace(params.hyper, rng_seed=9, **second), paths[1])):
+            member = init_params(hyper, params.src_vocab, params.trg_vocab)
+            member.tensors["out_b"][model.EOS_ID] -= 5.0
+            save_checkpoint(member, path)
+        return [a for path in paths for a in ("--checkpoint", str(path))]
+
+    @pytest.mark.parametrize("dims", [dict(embed_dim=6), dict(hidden_dim=6), dict(attention_dim=6)])
+    def test_ensemble_members_of_other_dims_are_config_error(self, corpus, capsys, dims):
+        d, params = corpus
+        argv = ["translate", "--source", str(d / "in.src"), "--out", str(d / "out")] + self._members(d, params, **dims)
+        assert main(argv) == 2
+        assert "member 2" in capsys.readouterr().err
+        assert not (d / "out" / "hyp.trg").exists()
+
+    def test_ensemble_members_of_other_length_caps_decode_within_the_smallest(self, corpus):
+        d, params = corpus
+        checkpoints = self._members(d, params, max_source_len=3, max_target_len=4)
+        argv = ["translate", "--out", str(d / "out"), "--max-len-factor", "1e6", "--beam-size", "2"] + checkpoints
+        assert main(argv + ["--source", str(d / "in.src")]) == 0
+        assert [len(line.split()) for line in (d / "out" / "hyp.trg").read_text().splitlines()] == [4, 4]
+        (d / "long.src").write_text("a b c\na b c a\n")
+        assert main(argv + ["--source", str(d / "long.src")]) == 3  # 4 tokens exceed the smaller max_source_len
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing", "bad-utf8", "bad-json", "missing"])
     def test_damaged_checkpoint_is_config_error(self, corpus, damage):

@@ -1,15 +1,19 @@
 """Decoder tests: greedy/beam equivalence, ensembling, segment extraction,
 attention export format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ctxnmt.cli import main
 from ctxnmt.corpus import ContextConfig, Marking, TranslationUnit, extend_corpus
 from ctxnmt.decode import (
     AttentionExport,
     BeamConfig,
     SEGMENT_ALL,
     SEGMENT_LAST,
+    as_ensemble,
     beam_decode,
     beam_search,
     extract_scored_segment,
@@ -28,6 +32,7 @@ from ctxnmt.model import (
     encode,
     init_decoder_state,
     init_params,
+    load_checkpoint,
     train,
 )
 
@@ -220,11 +225,12 @@ def _assert_same_decode(result, expected):
 
 
 class TestBackPointerSearch:
-    """The search keeps back-pointer nodes scored once; the oracle copies each
-    hypothesis's lists and re-scores every entry at every sort.  Their
-    outputs must be the same bits."""
+    """The search steps one stacked model and keeps back-pointer nodes, made
+    only for the survivors of each cut; the oracle steps the members one at a
+    time, copies each hypothesis's lists and re-scores every entry at every
+    sort.  Their outputs must be the same bits."""
 
-    @pytest.mark.parametrize("members", [1, 2])
+    @pytest.mark.parametrize("members", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["random", "copy"])
     def test_equals_oracle_bit_for_bit(self, random_model, trained_copy_model, kind, members):
         if kind == "random":
@@ -233,7 +239,7 @@ class TestBackPointerSearch:
         else:
             params, vocab, units = trained_copy_model
             sources = [units[0].source_tokens, units[1].source_tokens]
-        ensemble = [params, _perturbed(params, 5)][:members]
+        ensemble = [params] + [_perturbed(params, seed) for seed in (5, 6, 7)][: members - 1]
         lengths = [(0.0, 0), (0.0, 2), (BeamConfig.max_len_factor, BeamConfig.max_len_constant)]
         for beam_size in (1, 2, 3, 8, len(params.trg_vocab) + 3):
             for alpha in (0.0, 0.6, 1.0):
@@ -262,6 +268,29 @@ class TestBackPointerSearch:
         assert beam_decode(tied, ids, one_step).target_ids == [low]
         for config in (one_step, BeamConfig(beam_size=beam_size)):
             _assert_same_decode(beam_decode(tied, ids, config), oracle_beam_decode(tied, ids, config))
+
+
+def test_four_savepoints_at_beam_eight_equal_the_oracle(tmp_path):
+    # the ensemble-beam benchmark's configuration: its 4 fixed checkpoints, beam 8, alpha 0.6, 2+2 inputs
+    checkpoints = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "models").glob("*.ckpt"))
+    assert len(checkpoints) == 4
+    d = str(tmp_path)
+    assert main(["synth", "--num-docs", "2", "--units-per-doc", "8", "--seed", "11", "--out", d]) == 0
+    assert main(["prepare", "--source", d + "/synth.src", "--target", d + "/synth.trg", "--docs", d + "/synth.docs",
+                 "--mode", "2+2", "--prefix", "ext", "--out", d]) == 0
+    assert main(["translate", "--source", d + "/ext.src", "--meta", d + "/ext.meta", "--beam-size", "8",
+                 "--alpha", "0.6", "--out", d] + [a for c in checkpoints for a in ("--checkpoint", str(c))]) == 0
+    members = [load_checkpoint(c) for c in checkpoints]
+    stack = as_ensemble(members)
+    config = BeamConfig(beam_size=8, length_norm_alpha=0.6)
+    exports = read_attention_records(tmp_path / "hyp.attn.jsonl")
+    assert len(exports) == 16
+    for export in exports:
+        ids = stack.src_vocab.encode(export.source_tokens)
+        expected = oracle_beam_decode(members, ids, config)
+        assert export.target_tokens == expected.target_tokens(stack)
+        assert export.weights.tobytes() == expected.weights.tobytes()
+        assert beam_decode(stack, ids, config).log_prob == expected.log_prob
 
 
 class TestSegmentExtraction:

@@ -8,6 +8,7 @@ import pytest
 
 from ctxnmt import model
 from ctxnmt.corpus import ContextConfig, Marking, TranslationUnit, extend_corpus
+from ctxnmt.decode import as_ensemble
 from ctxnmt.errors import InputError
 from ctxnmt.model import (
     BOS_ID,
@@ -347,6 +348,39 @@ class TestRecurrenceOracle:
         oracle_log_probs, oracle_attn, _ = model._output_layer(p64, h, start.encoder_states, start.enc_proj)
         assert np.array_equal(state.h, h) and np.array_equal(state.c, c)
         assert np.array_equal(log_probs, oracle_log_probs) and np.array_equal(attn, oracle_attn)
+
+
+class TestStackedModel:
+    """A stacked model (decode.as_ensemble) steps every member in one call;
+    each member's slice must equal that member's own call, bit for bit."""
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_stacked_calls_equal_per_member_calls(self, members):
+        models = [tiny_model(seed=seed)[0].astype(np.float64) for seed in range(20, 20 + members)]
+        _, src_vocab, trg_vocab = tiny_model()
+        stack = as_ensemble(models)
+        assert stack.flat.shape == (members, models[0].num_params())
+        ids = src_vocab.encode(["a", "c", "b", "e", "d"])
+        state = init_decoder_state(stack, encode(stack, ids))
+        singles = [init_decoder_state(m, encode(m, ids)) for m in models]
+
+        def fields(state):
+            return [state.h, state.c, state.encoder_states, state.enc_proj]
+
+        def assert_slices_equal(stacked, per_member):
+            for m, arrays in enumerate(per_member):
+                assert [a[m].tobytes() for a in stacked] == [a.tobytes() for a in arrays]
+
+        assert_slices_equal(fields(state), [fields(s) for s in singles])
+        # the first step has one row (a gemv in BLAS), the next three
+        for rows, prev in (([0], [BOS_ID]), ([0, 0, 0], [trg_vocab.id("x"), EOS_ID, trg_vocab.id("w")])):
+            state = DecoderState(state.h[:, rows], state.c[:, rows], state.encoder_states, state.enc_proj)
+            singles = [DecoderState(s.h[rows], s.c[rows], s.encoder_states, s.enc_proj) for s in singles]
+            state, log_probs, attn = decode_step(stack, state, np.array(prev))
+            outputs = [decode_step(m, s, np.array(prev)) for m, s in zip(models, singles)]
+            singles = [s for s, _, _ in outputs]
+            assert log_probs.shape == (members, len(rows), len(trg_vocab)) and attn.shape == (members, len(rows), 5)
+            assert_slices_equal(fields(state) + [log_probs, attn], [fields(s) + [lp, a] for s, lp, a in outputs])
 
 
 def copy_corpus(n_units=20, seed=0):
