@@ -1,12 +1,17 @@
 """Experiment driver.
 
 Subcommands cover the full pipeline: synth | prepare | bpe-learn | bpe-apply
-| train | translate | score | attn-stats | pronoun-eval | heatmap.  Every
-command writes a run manifest (config snapshot, input/output checksums,
-toolkit version, timestamps) into the output directory.
+| train | translate | score | attn-stats | pronoun-eval | heatmap.  main
+writes every run manifest (config snapshot, input/output checksums, toolkit
+version, timestamps) at a path each subcommand names from its flags: into
+the output directory, or next to the output file of bpe-learn, bpe-apply and
+score (score writes one only with --report).  A run that fails or is
+interrupted still gets its manifest, with status "failed" or "interrupted"
+and the error text.
 
-Exit codes: 0 success, 2 configuration error, 3 malformed data or invalid
-input, 4 numeric failure, 1 unexpected error.
+Exit codes: 0 success, 2 configuration error (including an output location
+that cannot be written), 3 malformed data or invalid input, 4 numeric
+failure, 130 interrupted (Ctrl-C), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .corpus import (
     Marking,
     extend_corpus,
     generate_synthetic_corpus,
+    open_output,
     read_extended_corpus,
     read_meta,
     read_parallel_corpus,
@@ -63,6 +69,9 @@ from .model import (
 )
 from .subword import apply_bpe_line, learn_bpe, load_bpe_model, protection, save_bpe_model, word_frequencies
 
+# The most tokens a training vocabulary keeps, reserved tokens included.
+_VOCAB_CAP = 60000
+
 # --mode sets the window geometry and marking; the break token and context
 # prefix stay as configured.
 _MODES = {
@@ -81,10 +90,10 @@ def _override(section, args):
 
 def _load_base_config(args) -> RunConfig:
     """The effective config: the INI file (or defaults), then the flags."""
-    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    config = load_config(args.config) if args.config else RunConfig()
+    if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
-    if getattr(args, "out", None):
+    if args.out:
         config = replace(config, out_dir=args.out)
     if getattr(args, "mode", None):
         config = replace(config, context=replace(config.context, **_MODES[args.mode]))
@@ -92,135 +101,121 @@ def _load_base_config(args) -> RunConfig:
     return replace(config, **sections).seeded()
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _in_out_dir(name: str):
+    """Manifest path: `name`, %-formatted with the flags, in the output directory."""
+    return lambda args, config: Path(config.out_dir) / (name % vars(args))
+
+
+def _beside(path) -> Path:
+    """Manifest path next to the output file `path`."""
+    path = Path(path)
+    return path.with_suffix(path.suffix + ".manifest.json")
 
 
 def _read_lines(path) -> list[list[str]]:
     return [line.split() for line in read_text(path).splitlines()]
 
 
+def _write(path, text: str, manifest):
+    """Write one output file and record it in the manifest."""
+    with open_output(path) as fh:
+        fh.write(text)
+    manifest.add_output(path)
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each gets the effective config and the started manifest, and
+# records its inputs, outputs and counters there; main writes the manifest.
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    config = _load_base_config(args)
-    out = _out_dir(config)
-    manifest = start_manifest("synth", config)
+def cmd_synth(args, config, manifest):
     units = generate_synthetic_corpus(config.synth)
+    out = Path(config.out_dir)
     paths = [out / (args.prefix + ext) for ext in (".src", ".trg", ".docs")]
     write_parallel_corpus(units, *paths)
     for p in paths:
         manifest.add_output(p)
-    manifest.write(out / "manifest-synth.json")
     print("synth: wrote %d units to %s" % (len(units), out))
-    return 0
 
 
-def cmd_prepare(args) -> int:
-    config = _load_base_config(args)
+def cmd_prepare(args, config, manifest):
     src = args.source or config.source_path
     trg = args.target or config.target_path
     docs = args.docs or config.docs_path
     units = read_parallel_corpus(src, trg, docs)
-    examples = extend_corpus(units, config.context)
-    out = _out_dir(config)
-    manifest = start_manifest("prepare", config)
     for p in (src, trg, docs):
         manifest.add_input(p)
+    examples = extend_corpus(units, config.context)
+    out = Path(config.out_dir)
     paths = [out / (args.prefix + ext) for ext in (".src", ".trg", ".docs", ".meta")]
     write_extended_corpus(examples, *paths)
     for p in paths:
         manifest.add_output(p)
-    manifest.write(out / "manifest-prepare.json")
     print("prepare: %d extended examples -> %s" % (len(examples), out))
-    return 0
 
 
-def cmd_bpe_learn(args) -> int:
-    config = _load_base_config(args)
-    lines = _read_lines(args.input[0])
-    for extra in args.input[1:]:
-        lines.extend(_read_lines(extra))
-    model = learn_bpe(word_frequencies(lines, protection(config.context)), config.bpe.num_merges)
-    out_model = Path(args.out_model)
-    out_model.parent.mkdir(parents=True, exist_ok=True)
-    save_bpe_model(model, out_model)
-    manifest = start_manifest("bpe-learn", config)
+def cmd_bpe_learn(args, config, manifest):
+    lines = [tokens for path in args.input for tokens in _read_lines(path)]
     for p in args.input:
         manifest.add_input(p)
+    model = learn_bpe(word_frequencies(lines, protection(config.context)), config.bpe.num_merges)
+    out_model = Path(args.out_model)
+    save_bpe_model(model, out_model)
     manifest.add_output(out_model)
-    manifest.write(out_model.with_suffix(out_model.suffix + ".manifest.json"))
     print("bpe-learn: %d merges -> %s" % (len(model.merges), out_model))
-    return 0
 
 
-def cmd_bpe_apply(args) -> int:
-    config = _load_base_config(args)
+def cmd_bpe_apply(args, config, manifest):
     model = load_bpe_model(args.model)
     protected = protection(config.context, model.eow_marker, model.join_marker)
     lines = _read_lines(args.input)
-    segmented = [apply_bpe_line(model, tokens, config.bpe.vocab_threshold, protected) for tokens in lines]
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    write_lines(output, (" ".join(tokens) for tokens in segmented))
-    manifest = start_manifest("bpe-apply", config)
     manifest.add_input(args.model)
     manifest.add_input(args.input)
+    segmented = [apply_bpe_line(model, tokens, config.bpe.vocab_threshold, protected) for tokens in lines]
+    write_lines(args.output, (" ".join(tokens) for tokens in segmented))
     manifest.add_output(args.output)
     # the model's segmentation cache starts empty, so every repeat of a segmented token is a hit
     words = [tok for tokens in lines for tok in tokens if not protected(tok)]
     manifest.counters = {"tokens": sum(map(len, lines)), "cache_hits": len(words) - len(set(words))}
-    manifest.write(output.with_suffix(output.suffix + ".manifest.json"))
     print("bpe-apply: %d lines -> %s" % (len(segmented), args.output))
-    return 0
 
 
-def _load_examples(src, trg, docs, meta):
-    if meta:
-        return read_extended_corpus(src, trg, meta)
-    units = read_parallel_corpus(src, trg, docs)
-    return extend_corpus(units, ContextConfig(0, 0, Marking.BREAK))
-
-
-def cmd_train(args) -> int:
-    config = _load_base_config(args)
+def cmd_train(args, config, manifest):
     src = args.source or config.source_path
     trg = args.target or config.target_path
     docs = args.docs or config.docs_path
-    examples = _load_examples(src, trg, docs, args.meta)
+    if args.meta:
+        examples = read_extended_corpus(src, trg, args.meta)
+    else:
+        examples = extend_corpus(read_parallel_corpus(src, trg, docs), ContextConfig(0, 0, Marking.BREAK))
+    for p in (src, trg, args.meta or docs):
+        manifest.add_input(p)
 
-    src_vocab = Vocabulary.build((e.source_tokens for e in examples), max_size=args.vocab_cap)
-    trg_vocab = Vocabulary.build((e.target_tokens for e in examples), max_size=args.vocab_cap)
+    src_vocab = Vocabulary.build((e.source_tokens for e in examples), max_size=_VOCAB_CAP)
+    trg_vocab = Vocabulary.build((e.target_tokens for e in examples), max_size=_VOCAB_CAP)
     params = init_params(config.hyper, src_vocab, trg_vocab)
-    manifest = start_manifest("train", config)
     failure = None
     try:
         result = train(params, examples, savepoint_schedule=args.savepoints)
-    except NumericError as exc:  # keep what was trained before the failing step
-        failure, result = exc, exc.result
-        manifest.status, manifest.error = "failed", str(exc)
+    except (NumericError, KeyboardInterrupt) as exc:
+        if not hasattr(exc, "result"):  # stopped before the first step
+            raise
+        failure, result = exc, exc.result  # keep what was trained before the failing step
 
-    out = _out_dir(config)
-    for p in (src, trg, args.meta or docs):
-        manifest.add_input(p)
+    out = Path(config.out_dir)
     for ckpt in result.checkpoints:
         path = out / ("checkpoint-%06d.ckpt" % ckpt.step)
         save_checkpoint(ckpt.params, path)
         manifest.checkpoints.append(str(path))
         manifest.add_output(path)
     loss_path = out / "losses.tsv"
-    with open(loss_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(loss_path) as fh:
         fh.write("step\tloss\ttokens\tgrad_norm\n")
         for i, row in enumerate(zip(result.losses, result.tokens, result.grad_norms), start=1):
             fh.write("%d\t%.6f\t%d\t%.6g\n" % (i, *row))
     manifest.add_output(loss_path)
     manifest.counters = {"steps": len(result.losses), "skipped": result.skipped, "src_vocab": len(src_vocab),
                          "trg_vocab": len(trg_vocab), "params": params.num_params()}
-    manifest.write(out / "manifest-train.json")
     if failure is not None:
         raise failure
     last = result.losses[-1] if result.losses else float("nan")
@@ -228,11 +223,9 @@ def cmd_train(args) -> int:
         "train: %d steps, %d checkpoints, %d skipped, final loss %.4f -> %s"
         % (len(result.losses), len(result.checkpoints), result.skipped, last, out)
     )
-    return 0
 
 
-def cmd_translate(args) -> int:
-    config = _load_base_config(args)
+def cmd_translate(args, config, manifest):
     model = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
     beam = config.beam
     src_lines = _read_lines(args.source)
@@ -249,6 +242,8 @@ def cmd_translate(args) -> int:
                 )
     else:
         meta = [("", i, 0, 0) for i in range(len(src_lines))]
+    for p in [args.source, args.meta] + list(args.checkpoint):
+        manifest.add_input(p)
 
     use_greedy = beam.beam_size == 1 and beam.length_norm_alpha == 0.0 and beam.coverage_beta == 0.0
     sources = [model.src_vocab.encode(tokens) for tokens in src_lines]
@@ -272,27 +267,20 @@ def cmd_translate(args) -> int:
         )
         truncated += result.truncated
 
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     trg_path = out / (args.prefix + ".trg")
     attn_path = out / (args.prefix + ".attn.jsonl")
     write_lines(trg_path, (" ".join(ex.target_tokens) for ex in exports))
     write_attention_records(attn_path, exports)
-
-    manifest = start_manifest("translate", config)
-    for p in [args.source, args.meta] + list(args.checkpoint):
-        manifest.add_input(p)
     manifest.add_output(trg_path)
     manifest.add_output(attn_path)
     counters = manifest.counters = {
         "sentences": len(exports), "truncated": truncated, "source_tokens": sum(map(len, sources)),
         "unknown_source_tokens": sum(int((ids == UNK_ID).sum()) for ids in sources), "ensemble": len(model.flat)}
-    manifest.write(out / ("manifest-translate-%s.json" % args.prefix))
     print("translate: %d sentences (%d truncated) -> %s" % (counters["sentences"], counters["truncated"], trg_path))
-    return 0
 
 
-def cmd_score(args) -> int:
-    config = _load_base_config(args)
+def cmd_score(args, config, manifest):
     hyp = _read_lines(args.hyp)
     ref = _read_lines(args.ref)
     if args.segment_mode != "none":
@@ -307,22 +295,16 @@ def cmd_score(args) -> int:
         b, c = metrics.bleu(hyp, ref), metrics.chrf(hyp, ref)
     report = metrics.format_score_report([(args.name, b, c)])
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(report, encoding="utf-8")
-        manifest = start_manifest("score", config)
         for path in (args.hyp, args.ref, args.docs):
             manifest.add_input(path)
-        manifest.add_output(args.report)
-        manifest.write(Path(args.report).with_suffix(".manifest.json"))
+        _write(args.report, report, manifest)
     sys.stdout.write(report)
-    return 0
 
 
-def cmd_attn_stats(args) -> int:
-    config = _load_base_config(args)
+def cmd_attn_stats(args, config, manifest):
     analysis = config.analysis
-
     exports = read_attention_records(args.attn)
+    manifest.add_input(args.attn)
     partitions = []
     for export in exports:
         partitions.extend(astats.partition(export, analysis.model_kind))
@@ -332,7 +314,7 @@ def cmd_attn_stats(args) -> int:
     majority = astats.majority_peak_stats(partitions, analysis.min_cases, analysis.majority_use_mass)
     proportion = astats.corpus_external_proportion(partitions)
 
-    out = _out_dir(config)
+    out = Path(config.out_dir)
     outputs = {
         out / (args.prefix + "-mass.tsv"): astats.format_stats_table(mass),
         out / (args.prefix + "-peaks.tsv"): astats.format_stats_table(peaks),
@@ -343,17 +325,12 @@ def cmd_attn_stats(args) -> int:
             "table_average_proportion\t%.6f\n" % (proportion, mass.average.proportion / 100.0)
         ),
     }
-    manifest = start_manifest("attn-stats", config)
-    manifest.add_input(args.attn)
     for path, text in outputs.items():
-        Path(path).write_text(text, encoding="utf-8")
-        manifest.add_output(path)
-    manifest.write(out / ("manifest-attn-stats-%s.json" % args.prefix))
+        _write(path, text, manifest)
     print(
         "attn-stats: %d records, %d occurrences, external proportion %.4f -> %s"
         % (len(exports), len(partitions), proportion, out)
     )
-    return 0
 
 
 def _parse_classes(spec: str):
@@ -373,8 +350,7 @@ def _parse_classes(spec: str):
     return classes
 
 
-def cmd_pronoun_eval(args) -> int:
-    config = _load_base_config(args)
+def cmd_pronoun_eval(args, config, manifest):
     paths = {}
     for spec in args.system:
         name, sep, path = spec.partition("=")
@@ -389,6 +365,8 @@ def cmd_pronoun_eval(args) -> int:
     classes = _parse_classes(args.classes) if args.classes else metrics.SIE_PRONOUN_CLASSES
     source = _read_lines(args.source)
     ref = _read_lines(args.ref)
+    manifest.add_input(args.source)
+    manifest.add_input(args.ref)
     systems = {name: _read_lines(path) for name, path in paths.items()}
     forms = tuple(args.pronoun_forms.split(","))
     occurrences = metrics.extract_pronoun_occurrences(source, ref, systems, forms)
@@ -402,13 +380,8 @@ def cmd_pronoun_eval(args) -> int:
     metrics.judge_occurrences(occurrences, classes)
     report = metrics.pronoun_accuracy(occurrences, list(systems), categories)
     text = metrics.format_pronoun_report(report)
-    out = _out_dir(config)
-    report_path = out / (args.prefix + "-pronoun.tsv")
-    report_path.write_text(text, encoding="utf-8")
-    manifest = start_manifest("pronoun-eval", config)
-    manifest.add_input(args.source)
-    manifest.add_input(args.ref)
-    manifest.add_output(report_path)
+    out = Path(config.out_dir)
+    _write(out / (args.prefix + "-pronoun.tsv"), text, manifest)
 
     if args.chi2:
         name_a, name_b = args.chi2
@@ -417,9 +390,7 @@ def cmd_pronoun_eval(args) -> int:
         chi_text = "systems\tstatistic\tsignificant_at_0.05\n%s vs %s\t%.4f\t%s\n" % (
             name_a, name_b, stat, significant,
         )
-        chi_path = out / (args.prefix + "-chi2.tsv")
-        chi_path.write_text(chi_text, encoding="utf-8")
-        manifest.add_output(chi_path)
+        _write(out / (args.prefix + "-chi2.tsv"), chi_text, manifest)
         sys.stdout.write(chi_text)
 
     if args.export_adjudication:
@@ -428,36 +399,25 @@ def cmd_pronoun_eval(args) -> int:
             cells = [str(i), occ.category, " ".join(occ.source_tokens), " ".join(occ.reference_tokens)]
             cells += [" ".join(occ.system_translations[s]) for s in systems]
             lines.append("\t".join(cells))
-        Path(args.export_adjudication).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        manifest.add_output(args.export_adjudication)
+        _write(args.export_adjudication, "\n".join(lines) + "\n", manifest)
 
-    manifest.write(out / ("manifest-pronoun-%s.json" % args.prefix))
     sys.stdout.write(text)
-    return 0
 
 
-def cmd_heatmap(args) -> int:
-    config = _load_base_config(args)
+def cmd_heatmap(args, config, manifest):
     exports = read_attention_records(args.attn)
+    manifest.add_input(args.attn)
     by_index = {e.index: e for e in exports}
     if args.index not in by_index:
         raise InputError("record index %d not present in %s" % (args.index, args.attn))
     export = by_index[args.index]
-    out = _out_dir(config)
-    tsv_path = out / ("heatmap-%04d.tsv" % args.index)
-    tsv_path.write_text(astats.heatmap_tsv(export), encoding="utf-8")
-    written = [tsv_path]
+    out = Path(config.out_dir)
+    written = [out / ("heatmap-%04d.tsv" % args.index)]
+    _write(written[0], astats.heatmap_tsv(export), manifest)
     if args.image:
-        pgm_path = out / ("heatmap-%04d.pgm" % args.index)
-        pgm_path.write_text(astats.heatmap_pgm(export), encoding="utf-8")
-        written.append(pgm_path)
-    manifest = start_manifest("heatmap", config)
-    manifest.add_input(args.attn)
-    for p in written:
-        manifest.add_output(p)
-    manifest.write(out / ("manifest-heatmap-%04d.json" % args.index))
+        written.append(out / ("heatmap-%04d.pgm" % args.index))
+        _write(written[1], astats.heatmap_pgm(export), manifest)
     print("heatmap: wrote %s" % ", ".join(str(p) for p in written))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-docs", type=int)
     p.add_argument("--units-per-doc", type=int)
     p.add_argument("--prefix", default="synth")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, manifest_path=_in_out_dir("manifest-synth.json"))
 
     p = sub.add_parser("prepare", help="build context-extended training data")
     common(p)
@@ -488,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs")
     p.add_argument("--mode", choices=sorted(_MODES))
     p.add_argument("--prefix", default="extended")
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func=cmd_prepare, manifest_path=_in_out_dir("manifest-prepare.json"))
 
     p = sub.add_parser("bpe-learn", help="learn BPE merge operations")
     common(p)
     p.add_argument("--input", nargs="+", required=True, help="token files (several = joint codes)")
     p.add_argument("--num-merges", type=int)
     p.add_argument("--out-model", required=True)
-    p.set_defaults(func=cmd_bpe_learn)
+    p.set_defaults(func=cmd_bpe_learn, manifest_path=lambda args, config: _beside(args.out_model))
 
     p = sub.add_parser("bpe-apply", help="apply a BPE model to a token file")
     common(p)
@@ -503,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--vocab-threshold", type=int)
-    p.set_defaults(func=cmd_bpe_apply)
+    p.set_defaults(func=cmd_bpe_apply, manifest_path=lambda args, config: _beside(args.output))
 
     p = sub.add_parser("train", help="train the encoder-decoder")
     common(p)
@@ -519,9 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attention-dim", dest="attention_dim", type=int)
     p.add_argument("--max-source-len", dest="max_source_len", type=int)
     p.add_argument("--max-target-len", dest="max_target_len", type=int)
-    p.add_argument("--vocab-cap", type=int, default=60000)
     p.add_argument("--savepoints", type=int, default=4)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, manifest_path=_in_out_dir("manifest-train.json"))
 
     p = sub.add_parser("translate", help="decode a source file with checkpoints (ensemble)")
     common(p)
@@ -534,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", dest="coverage_beta", type=float)
     p.add_argument("--max-len-factor", dest="max_len_factor", type=float)
     p.add_argument("--max-len-constant", dest="max_len_constant", type=int)
-    p.set_defaults(func=cmd_translate)
+    p.set_defaults(func=cmd_translate, manifest_path=_in_out_dir("manifest-translate-%(prefix)s.json"))
 
     p = sub.add_parser("score", help="BLEU/chrF3 scoring")
     common(p)
@@ -547,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preprocess hypothesis lines (for two-sided models)")
     p.add_argument("--name", default="system")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, manifest_path=lambda args, config: (
+        Path(args.report).with_suffix(".manifest.json") if args.report else None))
 
     p = sub.add_parser("attn-stats", help="attention statistics tables")
     common(p)
@@ -557,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-cases", dest="min_cases", type=int)
     p.add_argument("--use-mass", dest="majority_use_mass", action="store_const", const=True)
     p.add_argument("--prefix", default="attn")
-    p.set_defaults(func=cmd_attn_stats)
+    p.set_defaults(func=cmd_attn_stats, manifest_path=_in_out_dir("manifest-attn-stats-%(prefix)s.json"))
 
     p = sub.add_parser("pronoun-eval", help="pronoun category accuracy report")
     common(p)
@@ -569,35 +529,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi2", nargs=2, metavar=("SYS_A", "SYS_B"))
     p.add_argument("--export-adjudication")
     p.add_argument("--prefix", default="eval")
-    p.set_defaults(func=cmd_pronoun_eval)
+    p.set_defaults(func=cmd_pronoun_eval, manifest_path=_in_out_dir("manifest-pronoun-%(prefix)s.json"))
 
     p = sub.add_parser("heatmap", help="export one attention heatmap (TSV + PGM)")
     common(p)
     p.add_argument("--attn", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--no-image", dest="image", action="store_false", help="skip the PGM image")
-    p.set_defaults(func=cmd_heatmap)
+    p.set_defaults(func=cmd_heatmap, manifest_path=_in_out_dir("manifest-heatmap-%(index)04d.json"))
 
     return parser
 
 
+# The exit code and stderr label of each failure main reports without a
+# traceback; the first matching type wins.
+_FAILURES = (
+    (ConfigError, 2, "config error"),
+    ((MalformedCorpusError, MalformedSegmentationError, MalformedRecordError, InputError), 3, "data error"),
+    (NumericError, 4, "numeric failure"),
+    (CtxnmtError, 1, "error"),
+    (KeyboardInterrupt, 130, "interrupted"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its manifest, whatever the outcome."""
+    args = build_parser().parse_args(argv)
+    path = manifest = None
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except (MalformedCorpusError, MalformedSegmentationError, MalformedRecordError, InputError) as exc:
-        print("data error: %s" % exc, file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print("numeric failure: %s" % exc, file=sys.stderr)
-        return 4
-    except CtxnmtError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        config = _load_base_config(args)
+        path = args.manifest_path(args, config)
+        if path is not None:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError("cannot write %s: %s" % (path.parent, exc.strerror or exc)) from None
+        manifest = start_manifest(args.command, config)
+        args.func(args, config, manifest)
+        return 0
+    except BaseException as exc:
+        if manifest is not None:
+            manifest.status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "failed"
+            manifest.error = str(exc) or type(exc).__name__
+        for kind, code, label in _FAILURES:
+            if isinstance(exc, kind):
+                print("%s: %s" % (label, exc) if str(exc) else label, file=sys.stderr)
+                return code
+        raise
+    finally:
+        if manifest is not None and path is not None:
+            manifest.write(path)
 
 
 if __name__ == "__main__":

@@ -14,12 +14,11 @@ import datetime
 import enum
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import ContextConfig, SynthSpec, read_text
+from .corpus import ContextConfig, SynthSpec, open_output, read_text
 from .decode import BeamConfig
 from .errors import ConfigError
 from .model import HyperParams
@@ -105,7 +104,7 @@ def save_config(config: RunConfig, path):
     parser = configparser.ConfigParser(interpolation=None)
     for section, values in _ini_values(config).items():
         parser[section] = {key: v.value if isinstance(v, enum.Enum) else str(v) for key, v in values.items()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         parser.write(fh)
 
 
@@ -160,7 +159,7 @@ class RunManifest:
     output_checksums: dict[str, str] = field(default_factory=dict)
     checkpoints: list[str] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
-    status: str = "ok"  # or "failed", with the error text in `error`
+    status: str = "ok"  # or "failed" / "interrupted", with the error text in `error`
     error: str = ""
     toolkit_version: str = __version__
     started: str = ""
@@ -175,14 +174,9 @@ class RunManifest:
             self.output_checksums[str(path)] = sha256_file(path)
 
     def write(self, path):
-        """Atomic write: a manifest never appears half-finished."""
         self.finished = _now()
-        payload = json.dumps(asdict(self), indent=1, sort_keys=True)
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-            fh.write("\n")
-        os.replace(tmp, path)
+        with open_output(path) as fh:
+            fh.write(json.dumps(asdict(self), indent=1, sort_keys=True) + "\n")
 
 
 def _now() -> str:

@@ -12,7 +12,9 @@ generator, over a fixed lexicon, used for desk-scale experiments.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -223,6 +225,24 @@ def read_text(path, error=MalformedCorpusError) -> str:
         raise error("invalid UTF-8 at %s:%d" % (path, line)) from None
 
 
+@contextlib.contextmanager
+def open_output(path, mode="w"):
+    """Write `path` through `path`.tmp, which replaces it only when the block
+    completes, so a failed or interrupted write leaves any earlier file as it
+    was.  Text is UTF-8 with LF endings; an unwritable path is a ConfigError."""
+    tmp = "%s.tmp" % path
+    try:
+        with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": "\n"})) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+        raise
+
+
 def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]:
     """Load an aligned corpus from its three files."""
     src_lines = read_text(src_path).splitlines()
@@ -336,7 +356,7 @@ def read_meta(path) -> list[tuple[str, int, int, int]]:
 
 
 def write_lines(path, lines: Iterable[str]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_BREAK_TOKEN, read_text
+from .corpus import DEFAULT_BREAK_TOKEN, open_output, read_text
 from .errors import ConfigError, MalformedRecordError, NumericError
 from .model import (
     BOS_ID,
@@ -312,7 +312,7 @@ class AttentionExport:
 
 
 def write_attention_records(path, exports: Sequence[AttentionExport]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for ex in exports:
             # every field of the export, the weights as nested lists
             fh.write(json.dumps({**vars(ex), "weights": ex.weights.tolist()}, sort_keys=True, ensure_ascii=False))

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ExtendedExample
+from .corpus import ExtendedExample, open_output
 from .errors import ConfigError, InputError, NumericError
 from .rng import substream
 
@@ -723,13 +723,15 @@ def train(
     step over the whole padded batch, with the model's own hyperparameters
     (params.hyper, which every checkpoint records).
 
-    savepoint_schedule is the number of evenly spaced checkpoints, the last
-    at the end of training.  Zero epochs returns only the initialization
-    checkpoint.  On numeric failure a NumericError is raised with the
-    partial TrainResult (the savepoints so far, the logs of every step
-    before) as `exc.result`.
+    savepoint_schedule is the number of evenly spaced checkpoints (at least
+    one), the last at the end of training.  Zero epochs returns only the
+    initialization checkpoint.  A NumericError or KeyboardInterrupt during a
+    step is raised with the partial TrainResult (the savepoints so far, the
+    logs of every step before) as `exc.result`.
     """
     hp = params.hyper
+    if savepoint_schedule < 1:
+        raise ConfigError("savepoints must be >= 1, got %d" % savepoint_schedule)
     if not examples:
         raise InputError("training corpus is empty")
     pairs, skipped = _to_id_pairs(params, examples)
@@ -738,11 +740,10 @@ def train(
 
     steps_per_epoch = (len(pairs) + hp.batch_size - 1) // hp.batch_size
     total_steps = hp.epochs * steps_per_epoch
-    n = max(0, savepoint_schedule)
-    schedule = sorted({max(1, round(total_steps * k / n)) for k in range(1, n + 1)}) if n and total_steps else []
-
-    if hp.epochs == 0 or total_steps == 0:
+    if total_steps == 0:
         return TrainResult(checkpoints=[Checkpoint(0, params.copy())], losses=[], skipped=skipped)
+    n = savepoint_schedule
+    schedule = sorted({max(1, round(total_steps * k / n)) for k in range(1, n + 1)})
 
     optimizer = AdamOptimizer(params, hp.learning_rate)
     shuffle_rng = substream(hp.rng_seed, "shuffle")
@@ -759,7 +760,7 @@ def train(
                 result.tokens.append(sum(trg.size + 1 for trg in targets))
                 if schedule and len(result.losses) == schedule[0]:
                     result.checkpoints.append(Checkpoint(schedule.pop(0), params.copy()))
-    except NumericError as exc:
+    except (NumericError, KeyboardInterrupt) as exc:
         exc.result = result
         raise
     return result
@@ -784,7 +785,7 @@ def save_checkpoint(params: ModelParams, path):
         "dtype": "float32",
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
         fh.write(params.flat.astype("<f4", copy=False).tobytes())
 

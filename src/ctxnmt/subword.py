@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, ContextConfig, read_text
+from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, ContextConfig, open_output, read_text
 from .errors import ConfigError, MalformedSegmentationError
 
 DEFAULT_EOW_MARKER = "</w>"
@@ -329,7 +328,8 @@ def save_bpe_model(model: BpeModel, path):
     ]
     lines.extend("%s %s" % pair for pair in model.merges)
     lines.extend("%s\t%d" % (sw, c) for sw, c in sorted(model.subword_vocab.items()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_bpe_model(path) -> BpeModel:

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import datetime
 import json
 import os
 import random
@@ -29,7 +30,7 @@ from ctxnmt.config import (
 )
 from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
 from ctxnmt.decode import BeamConfig, beam_decode, read_attention_records
-from ctxnmt import model
+from ctxnmt import cli, model
 from ctxnmt.errors import ConfigError, NumericError
 from ctxnmt.model import HyperParams, Vocabulary, init_params, load_checkpoint, save_checkpoint
 from ctxnmt.rng import substream
@@ -365,7 +366,7 @@ class TestCli:
         hyp = str(tmp_path / "x.hyp")
         assert self._pronoun_eval(tmp_path, "--system", "a=" + hyp, "--chi2", "a", "b") == 2
         assert "'b'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
         other = str(tmp_path / "y.hyp")
         assert self._pronoun_eval(tmp_path, "--system", "a=" + hyp, "--system", "b=" + other, "--chi2", "a", "b") == 0
 
@@ -373,20 +374,20 @@ class TestCli:
         flags = ["--system", "a=" + str(tmp_path / "x.hyp"), "--system", "a=" + str(tmp_path / "y.hyp")]
         assert self._pronoun_eval(tmp_path, *flags) == 2
         assert "'a'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
 
     def test_pronoun_eval_class_without_forms_is_config_error(self, tmp_path, capsys):
         flags = ["--system", "a=" + str(tmp_path / "x.hyp"), "--classes", "he=he|him,x=,she=she"]
         assert self._pronoun_eval(tmp_path, *flags) == 2
         assert "'x='" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
 
     def test_pronoun_eval_repeated_class_is_config_error(self, tmp_path, capsys):
         # a repeated name would keep only its last forms and count the first ones as unknown
         flags = ["--system", "a=" + str(tmp_path / "x.hyp"), "--classes", "he=he,he=him,she=she"]
         assert self._pronoun_eval(tmp_path, *flags) == 2
         assert "'he'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
 
     def test_heatmap_without_image(self, tmp_path):
         attn = tmp_path / "hyp.attn.jsonl"
@@ -591,32 +592,47 @@ class TestInputBoundaries:
         manifest = json.loads((d / "meta-run" / "manifest-train.json").read_text())
         assert sorted(manifest["input_checksums"]) == [str(d / name) for name in ("in.meta", "in.src", "in.trg")]
 
-    def test_failed_train_leaves_its_evidence(self, corpus, monkeypatch, capsys):
-        d, _ = corpus
-        k, calls, backward = 5, [], model.backward
+    def _train_stopped_at_step(self, d, monkeypatch, error, k=5):
+        """Train 6 steps (savepoints after steps 2, 4 and 6) with `error` raised
+        at step k; returns the exit code and the manifest, after checking
+        that the savepoints and loss rows before step k were written."""
+        calls, backward = [], model.backward
 
         def fail_at_step_k(params, sources, targets):
             calls.append(1)
             if len(calls) == k:
-                raise NumericError("non-finite gradient in tensor out_W")
+                raise error
             return backward(params, sources, targets)
 
         monkeypatch.setattr(model, "backward", fail_at_step_k)
         train = ["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
                  "--out", str(d / "run"), "--epochs", "3", "--batch-size", "1", "--savepoints", "3",
                  "--embed-dim", "4", "--hidden-dim", "5", "--attention-dim", "3"]
-        assert main(train) == 4  # 6 steps, savepoints after steps 2, 4 and 6
-        assert "non-finite gradient in tensor out_W" in capsys.readouterr().err
+        code = main(train)
         rows = (d / "run" / "losses.tsv").read_text().splitlines()[1:]
         assert [row.split("\t")[0] for row in rows] == [str(i) for i in range(1, k)]
         assert sorted(p.name for p in (d / "run").glob("*.ckpt")) == ["checkpoint-000002.ckpt",
                                                                       "checkpoint-000004.ckpt"]
         manifest = json.loads((d / "run" / "manifest-train.json").read_text())
-        assert manifest["status"] == "failed"
-        assert manifest["error"] == "non-finite gradient in tensor out_W"
         assert manifest["counters"]["steps"] == k - 1
         assert [Path(p).name for p in manifest["checkpoints"]] == ["checkpoint-000002.ckpt", "checkpoint-000004.ckpt"]
         load_checkpoint(d / "run" / "checkpoint-000004.ckpt")
+        return code, manifest
+
+    def test_failed_train_leaves_its_evidence(self, corpus, monkeypatch, capsys):
+        d, _ = corpus
+        code, manifest = self._train_stopped_at_step(d, monkeypatch, NumericError("non-finite gradient in tensor out_W"))
+        assert code == 4
+        assert "non-finite gradient in tensor out_W" in capsys.readouterr().err
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "non-finite gradient in tensor out_W"
+
+    def test_interrupted_train_leaves_its_evidence(self, corpus, monkeypatch, capsys):
+        d, _ = corpus
+        code, manifest = self._train_stopped_at_step(d, monkeypatch, KeyboardInterrupt())
+        assert code == 130
+        assert capsys.readouterr().err == "interrupted\n"  # and no traceback
+        assert (manifest["status"], manifest["error"]) == ("interrupted", "KeyboardInterrupt")
 
     def test_manifest_records_the_trained_hyperparameters(self, corpus):
         d, _ = corpus
@@ -655,13 +671,22 @@ class TestInputBoundaries:
             argv += ["--config", str(d / "run.ini")]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
-        assert not (d / "out").exists()
+        # 1e308 overflows only when a source length scales it, so the run has started and records its failure
+        written = [p.name for p in (d / "out").glob("*")]
+        assert written == (["manifest-translate-hyp.json"] if value == "1e308" else [])
 
     def test_translate_threads_flag_removed(self, corpus):
         d, _ = corpus
         with pytest.raises(SystemExit) as exc:
             main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
                   "--out", str(d / "out"), "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_train_vocab_cap_flag_removed(self, corpus):
+        d, _ = corpus
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"), "--docs", str(d / "in.docs"),
+                  "--out", str(d / "out"), "--vocab-cap", "0"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
@@ -720,6 +745,85 @@ class TestInputBoundaries:
         argv = ["translate", "--source", str(d / "in.src"), "--out", str(d / "out"), "--checkpoint", str(d / "model.ckpt")]
         assert main(argv + ["--checkpoint", str(d / "model.ckpt")]) == 0
         assert main(argv + ["--checkpoint", str(d / "other.ckpt")]) == 2
+
+
+# One malformed input per subcommand, each noticed after the manifest path is
+# known: (argv, exit code, manifest path).  "{d}" is the input directory; every
+# run adds --out {d}/out.
+FAILED_RUNS = {
+    "synth": (["synth", "--num-docs", "1", "--prefix", "missing/s"], 2, "out/manifest-synth.json"),
+    "prepare": (["prepare", "--source", "{d}/in.src", "--target", "{d}/short.trg", "--docs", "{d}/in.docs"],
+                3, "out/manifest-prepare.json"),
+    "bpe-learn": (["bpe-learn", "--input", "{d}/missing.txt", "--out-model", "{d}/bpe/codes.bpe"],
+                  3, "bpe/codes.bpe.manifest.json"),
+    "bpe-apply": (["bpe-apply", "--model", "{d}/in.src", "--input", "{d}/in.src", "--output", "{d}/bpe/seg.txt"],
+                  3, "bpe/seg.txt.manifest.json"),
+    "train": (["train", "--source", "{d}/in.src", "--target", "{d}/in.trg", "--docs", "{d}/in.docs",
+               "--savepoints", "0"], 2, "out/manifest-train.json"),
+    "translate": (["translate", "--checkpoint", "{d}/model.ckpt", "--source", "{d}/in.src", "--meta", "{d}/short.trg"],
+                  3, "out/manifest-translate-hyp.json"),
+    "score": (["score", "--hyp", "{d}/in.trg", "--ref", "{d}/in.trg", "--regime", "extended",
+               "--report", "{d}/score/plain.tsv"], 2, "score/plain.manifest.json"),
+    "attn-stats": (["attn-stats", "--attn", "{d}/in.src"], 3, "out/manifest-attn-stats-attn.json"),
+    "pronoun-eval": (["pronoun-eval", "--source", "{d}/in.src", "--ref", "{d}/in.trg", "--system", "s={d}/in.trg",
+                      "--classes", "he"], 2, "out/manifest-pronoun-eval.json"),
+    "heatmap": (["heatmap", "--attn", "{d}/hyp.attn.jsonl", "--index", "5"], 3, "out/manifest-heatmap-0005.json"),
+}
+
+
+class TestRunner:
+    """main writes every run's manifest, also for a failed or interrupted run."""
+
+    @pytest.fixture
+    def d(self, tmp_path):
+        (tmp_path / "in.src").write_text("a b\nc\n")
+        (tmp_path / "in.trg").write_text("x y\nz\n")
+        (tmp_path / "short.trg").write_text("x y\n")
+        (tmp_path / "in.docs").write_text("d\nd\n")
+        (tmp_path / "hyp.attn.jsonl").write_text(
+            '{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}\n')
+        vocab = Vocabulary.build([["a", "b", "c"]])
+        save_checkpoint(init_params(HyperParams(embed_dim=4, hidden_dim=5, attention_dim=3), vocab, vocab),
+                        tmp_path / "model.ckpt")
+        return tmp_path
+
+    def test_every_subcommand_has_a_failing_case(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(FAILED_RUNS) == sorted(subparsers.choices)
+
+    @pytest.mark.parametrize("command", sorted(FAILED_RUNS))
+    def test_a_failed_run_writes_a_failed_manifest(self, d, capsys, command):
+        argv, code, manifest_path = FAILED_RUNS[command]
+        assert main([a.format(d=d) for a in argv] + ["--out", str(d / "out")]) == code
+        manifest = json.loads((d / manifest_path).read_text())
+        assert (manifest["command"], manifest["status"]) == (command, "failed")
+        assert manifest["error"] and manifest["error"] in capsys.readouterr().err
+        assert manifest["started"] <= manifest["finished"]
+
+    def test_translate_stamps_started_before_decoding(self, d, monkeypatch):
+        decoded_at = []
+
+        def stamped_beam_decode(*args, **kwargs):
+            decoded_at.append(datetime.datetime.now(datetime.timezone.utc))
+            return beam_decode(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "beam_decode", stamped_beam_decode)
+        assert main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
+                     "--out", str(d / "out"), "--beam-size", "2"]) == 0
+        manifest = json.loads((d / "out" / "manifest-translate-hyp.json").read_text())
+        assert len(decoded_at) == 2
+        assert datetime.datetime.fromisoformat(manifest["started"]) <= decoded_at[0]
+
+    def test_unwritable_output_locations_are_config_errors(self, d, monkeypatch, capsys):
+        (d / "blocker").write_text("a file where a directory should be\n")
+        monkeypatch.setattr(cli, "beam_decode", lambda *args, **kwargs: pytest.fail("decoded before the out check"))
+        assert main(["translate", "--checkpoint", str(d / "model.ckpt"), "--source", str(d / "in.src"),
+                     "--out", str(d / "blocker")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write %s: " % (d / "blocker"))
+        assert main(["score", "--hyp", str(d / "in.trg"), "--ref", str(d / "in.trg"),
+                     "--report", str(d / "blocker" / "sub" / "score.tsv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write %s: " % (d / "blocker" / "sub"))
+        assert (d / "blocker").read_text() == "a file where a directory should be\n"
 
 
 class TestGarbledInputs:

@@ -1,5 +1,6 @@
 """Context extension and synthetic corpus tests."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from ctxnmt.corpus import (
     make_unit,
     mark_context,
     read_parallel_corpus,
+    write_lines,
     write_parallel_corpus,
 )
 from ctxnmt.errors import ConfigError, MalformedCorpusError
@@ -237,6 +239,27 @@ def test_corpus_file_round_trip(units, tmp_path_factory):
     write_parallel_corpus(units, tmp / "c.src", tmp / "c.trg", tmp / "c.docs")
     again = read_parallel_corpus(tmp / "c.src", tmp / "c.trg", tmp / "c.docs")
     assert again == list(units)
+
+
+@pytest.mark.parametrize("error, raised", [(OSError(28, "No space left on device"), ConfigError),
+                                           (KeyboardInterrupt(), KeyboardInterrupt)], ids=["error", "interrupt"])
+def test_a_write_that_stops_halfway_keeps_the_old_file(tmp_path, error, raised):
+    path = tmp_path / "c.src"
+    write_lines(path, ["old"])
+
+    def lines():
+        yield "new"
+        raise error
+
+    with pytest.raises(raised):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["c.src"]  # no c.src.tmp
+
+
+def test_an_unwritable_output_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot write %s" % (tmp_path / "missing" / "c.src")):
+        write_lines(tmp_path / "missing" / "c.src", ["a"])
 
 
 class TestSynthetic:

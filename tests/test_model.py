@@ -9,7 +9,7 @@ import pytest
 from ctxnmt import model
 from ctxnmt.corpus import ContextConfig, Marking, TranslationUnit, extend_corpus
 from ctxnmt.decode import as_ensemble
-from ctxnmt.errors import InputError
+from ctxnmt.errors import ConfigError, InputError
 from ctxnmt.model import (
     BOS_ID,
     EOS_ID,
@@ -447,6 +447,9 @@ class TestTrain:
         assert len(result.checkpoints) == 4
         total_steps = 2 * ((len(examples) + 4) // 5)
         assert result.checkpoints[-1].step == total_steps
+        for savepoints in (0, -3):  # would train and save nothing
+            with pytest.raises(ConfigError, match="savepoints"):
+                train(params, examples, savepoint_schedule=savepoints)
 
 
 class TestFlatLayout:
