@@ -158,10 +158,14 @@ def cmd_bpe_learn(args, config, manifest):
     lines = [tokens for path in args.input for tokens in _read_lines(path)]
     for p in args.input:
         manifest.add_input(p)
-    model = learn_bpe(word_frequencies(lines, protection(config.context)), config.bpe.num_merges)
+    frequencies = word_frequencies(lines, protection(config.context))
+    model = learn_bpe(frequencies, config.bpe.num_merges)
     out_model = Path(args.out_model)
     save_bpe_model(model, out_model)
     manifest.add_output(out_model)
+    # fewer merges than requested means the corpus ran out of pairs
+    manifest.counters = {"word_types": len(frequencies), "merges_requested": config.bpe.num_merges,
+                         "merges": len(model.merges)}
     print("bpe-learn: %d merges -> %s" % (len(model.merges), out_model))
 
 
@@ -295,7 +299,7 @@ def cmd_score(args, config, manifest):
         b, c = metrics.bleu(hyp, ref), metrics.chrf(hyp, ref)
     report = metrics.format_score_report([(args.name, b, c)])
     if args.report:
-        for path in (args.hyp, args.ref, args.docs):
+        for path in (args.hyp, args.ref, args.docs if args.regime == "extended" else None):
             manifest.add_input(path)
         _write(args.report, report, manifest)
     sys.stdout.write(report)
@@ -365,9 +369,9 @@ def cmd_pronoun_eval(args, config, manifest):
     classes = _parse_classes(args.classes) if args.classes else metrics.SIE_PRONOUN_CLASSES
     source = _read_lines(args.source)
     ref = _read_lines(args.ref)
-    manifest.add_input(args.source)
-    manifest.add_input(args.ref)
     systems = {name: _read_lines(path) for name, path in paths.items()}
+    for path in (args.source, args.ref, *paths.values()):
+        manifest.add_input(path)
     forms = tuple(args.pronoun_forms.split(","))
     occurrences = metrics.extract_pronoun_occurrences(source, ref, systems, forms)
     if args.classes:

@@ -167,6 +167,8 @@ class RunManifest:
 
     def add_input(self, path):
         if path and Path(path).exists():
+            if not Path(path).is_file():
+                raise ConfigError("input %s is not a regular file" % path)
             self.input_checksums[str(path)] = sha256_file(path)
 
     def add_output(self, path):

@@ -15,6 +15,7 @@ be represented unambiguously and are outside the format's domain.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -128,6 +129,14 @@ def learn_bpe(
     the words containing it limits each merge to those words, whose pair
     counts are subtracted before the merge and added back after it.  A stale
     word in the index is harmless: the merge leaves it unchanged.
+
+    The best pair comes from a lazy max-heap.  A merge only removes
+    adjacencies or creates ones that contain the merged symbol, so after it
+    only pairs containing that symbol get a fresh entry; any other entry can
+    only over-estimate its pair's count.  The top entry is taken when its
+    count is the live one, re-filed at the live count when it is not, and
+    dropped when its pair is gone, which keeps "largest count, then smallest
+    _pair_sort_key" exact.
     """
     if num_merges < 0:
         raise ConfigError("num_merges must be >= 0")
@@ -148,16 +157,24 @@ def learn_bpe(
             stats[pair] = stats.get(pair, 0) + freqs[i]
             index[pair].add(i)
 
+    # (-count, *_pair_sort_key(pair)): the smallest entry is the best pair, and
+    # a pair's largest entry is never below its live count (see docstring)
+    heap = [(-count, *_pair_sort_key(pair, eow_marker)) for pair, count in stats.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        if not stats:
-            break
-        best_count = max(stats.values())
-        best = min(
-            [p for p, c in stats.items() if c == best_count],
-            key=lambda p: _pair_sort_key(p, eow_marker),
-        )
+    while len(merges) < num_merges and heap:
+        neg_count, _, _, left, right = heap[0]
+        best = (left, right)
+        live = stats.get(best)
+        if live is None:
+            heapq.heappop(heap)
+            continue
+        if live != -neg_count:
+            heapq.heapreplace(heap, (-live, *_pair_sort_key(best, eow_marker)))
+            continue
         merges.append(best)
+        merged = left + right
+        grown = set()
         for i in index.pop(best):
             old, count = words[i], freqs[i]
             new = _merge_word(old, best)
@@ -173,6 +190,11 @@ def learn_bpe(
             for pair in zip(new, new[1:]):
                 stats[pair] = stats.get(pair, 0) + count
                 index[pair].add(i)
+                if merged in pair:
+                    grown.add(pair)
+        for pair in grown:
+            if pair in stats:
+                heapq.heappush(heap, (-stats[pair], *_pair_sort_key(pair, eow_marker)))
 
     counts: Counter = Counter()
     for word, count in zip(words, freqs):

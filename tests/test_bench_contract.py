@@ -3,13 +3,17 @@ WRAPPED).  A rename or a moved import would only show as a zero per-layer
 metric in a traced run; here it fails the test suite instead."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ctxnmt import attnstats, cli, config, corpus, decode, metrics, model, subword
 
-BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_TRACE = ROOT / "perfbench" / "bench_trace.py"
 MODULES = {"cli": cli, "corpus": corpus, "subword": subword, "model": model, "decode": decode,
            "attnstats": attnstats, "metrics": metrics, "config": config}
 
@@ -120,3 +124,13 @@ def test_an_ensemble_makes_one_encode_per_sentence_and_one_decode_step_per_searc
         names = [name for name, _, _, _ in tracer.spans]
         counts.append((names.count("model.encode"), names.count("model.decode_step")))
     assert counts[1] == counts[0] and counts[0][0] == 3 and counts[0][1] >= 3
+
+
+def test_prep_analyze_passes_its_output_checks():
+    # one untraced pass: the benchmark checks the merge count, the BPE round trip and the BLEU range
+    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "prep-analyze",
+                          "--seed", "1", "--seconds", "1", "--trace", "0"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0, run.stderr

@@ -143,6 +143,12 @@ class TestManifest:
         assert data["started"] and data["finished"]
         assert not (tmp_path / "manifest.json.tmp").exists()
 
+    def test_input_that_is_not_a_regular_file_is_config_error(self, tmp_path):
+        manifest = start_manifest("test", RunConfig())
+        with pytest.raises(ConfigError, match="not a regular file"):
+            manifest.add_input(tmp_path)
+        assert manifest.input_checksums == {}
+
 
 class TestSubstreams:
     def test_deterministic(self):
@@ -188,6 +194,16 @@ class TestCli:
         manifest = json.loads((tmp_path / "seg.txt.manifest.json").read_text())
         assert manifest["command"] == "bpe-apply"
         assert len(manifest["input_checksums"]) == 2 and len(manifest["output_checksums"]) == 1
+
+    def test_bpe_learn_manifest_says_when_it_ran_out_of_pairs(self, tmp_path, capsys):
+        (tmp_path / "in.txt").write_text("ab abc ab\n")
+        model_path = tmp_path / "codes.bpe"
+        assert main(["bpe-learn", "--input", str(tmp_path / "in.txt"), "--num-merges", "100",
+                     "--out-model", str(model_path)]) == 0
+        # (a, b), (ab, c), (ab, </w>), (abc, </w>): then no pair is left
+        assert capsys.readouterr().out == "bpe-learn: 4 merges -> %s\n" % model_path
+        manifest = json.loads((tmp_path / "codes.bpe.manifest.json").read_text())
+        assert manifest["counters"] == {"word_types": 2, "merges_requested": 100, "merges": 4}
 
     def test_bpe_apply_manifest_counts_tokens_and_cache_hits(self, tmp_path):
         (tmp_path / "in.txt").write_text("low lower low _BREAK_ qq\nlow _BREAK_ lower\n")  # "qq" is unseen
@@ -241,12 +257,20 @@ class TestCli:
         ref = tmp_path / "ref.trg"
         ref.write_text((DATA / "mini.trg").read_text())
         inputs = [DATA / "mini.src", ref, DATA / "mini.docs"]
-        for regime in ("plain", "extended"):
+        # the plain regime does not read --docs
+        for regime, read in (("plain", inputs[:2]), ("extended", inputs)):
             report = tmp_path / ("score-%s.tsv" % regime)
             assert main(["score", "--hyp", str(inputs[0]), "--ref", str(inputs[1]), "--docs", str(inputs[2]),
                          "--regime", regime, "--report", str(report)]) == 0
             manifest = json.loads(report.with_suffix(".manifest.json").read_text())
-            assert manifest["input_checksums"] == {str(p): sha256_file(p) for p in inputs}
+            assert manifest["input_checksums"] == {str(p): sha256_file(p) for p in read}
+
+    def test_plain_score_ignores_a_docs_directory(self, tmp_path):
+        report = tmp_path / "r" / "r.tsv"
+        assert main(["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
+                     "--docs", str(tmp_path), "--report", str(report)]) == 0
+        manifest = json.loads(report.with_suffix(".manifest.json").read_text())
+        assert manifest["status"] == "ok" and list(manifest["input_checksums"]) == [str(DATA / "mini.trg")]
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["prepare", "--config", str(tmp_path / "none.ini"), "--mode", "2+2"]) == 2
@@ -353,6 +377,9 @@ class TestCli:
             "index\tcategory\tsource\treference\tsys", "0\the\tdann fiel sie .\tthen he fell .\tthen she fell ."]
         manifest = json.loads((tmp_path / "manifest-pronoun-eval.json").read_text())
         assert str(tmp_path / "adjudicate.tsv") in manifest["output_checksums"]
+        # the system's translations decide the report, so they are hashed beside the source and reference
+        assert manifest["input_checksums"] == {str(tmp_path / name): sha256_file(tmp_path / name)
+                                               for name in ("s.src", "s.ref", "s.hyp")}
 
     def _pronoun_eval(self, tmp_path, *flags):
         (tmp_path / "s.src").write_text("dann fiel sie .\n")

@@ -181,6 +181,11 @@ small_words_st = st.sampled_from(["ab", "abc"]).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(words=small_words_st, num_merges=st.integers(min_value=0, max_value=30), markers=markers_st)
 @example(words={"aaaa": 3, "abab": 2, "aaa": 1, "ba": 2}, num_merges=10, markers=("</w>", "@@"))
+# every frequency is 1, and each of the 22 picks (at counts 4, 3, 2, 1) breaks a tie
+@example(words=dict.fromkeys(["aacab", "cccba", "cacc", "cbcb", "bab", "caaaa", "cabac"], 1), num_merges=22,
+         markers=("</w>", "@@"))
+# merging (c, a) re-files the stale (b, c) entry at 5 and pushes (ca, b) fresh at 5, the new maximum
+@example(words={"aca": 3, "bcabc": 1, "cabcb": 4}, num_merges=10, markers=("</w>", "@@"))
 def test_learn_matches_recount_oracle(words, num_merges, markers):
     # small alphabets and counts make ties and overlapping repeats common
     model = learn_bpe(words, num_merges, *markers)
@@ -198,6 +203,23 @@ def test_learn_matches_recount_oracle_zipfian():
     model = learn_bpe(words, 150)
     oracle = oracle_learn_bpe(words, 150, "</w>", "@@")
     assert len(model.merges) == 150
+    assert model.merges == oracle.merges
+    assert model.subword_vocab == oracle.subword_vocab
+
+
+def test_learn_matches_recount_oracle_tie_heavy_zipfian():
+    # 276 of the 300 types occur once, so 173 of the 200 picks break a tie,
+    # 38 of them between a content pair and a pair with the end-of-word marker
+    rng = random.Random(11)
+    types = set()
+    while len(types) < 300:
+        types.add("".join(rng.choice("abcd") for _ in range(rng.randint(1, 5))))
+    types = sorted(types)
+    rng.shuffle(types)
+    words = {word: 1 + 24 // rank for rank, word in enumerate(types, start=1)}
+    model = learn_bpe(words, 200)
+    oracle = oracle_learn_bpe(words, 200, "</w>", "@@")
+    assert len(model.merges) == 200
     assert model.merges == oracle.merges
     assert model.subword_vocab == oracle.subword_vocab
 
