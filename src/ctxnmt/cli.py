@@ -233,6 +233,11 @@ def cmd_translate(args, config, manifest):
     model = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
     beam = config.beam
     src_lines = _read_lines(args.source)
+    limit = model.hyper.max_source_len
+    for lineno, tokens in enumerate(src_lines, start=1):
+        if not tokens or len(tokens) > limit:
+            what = "%d source tokens exceed max_source_len %d" % (len(tokens), limit) if tokens else "empty source"
+            raise MalformedCorpusError(what, path=args.source, line=lineno)
 
     if args.meta:
         meta = read_meta(args.meta)
@@ -251,12 +256,18 @@ def cmd_translate(args, config, manifest):
 
     use_greedy = beam.beam_size == 1 and beam.length_norm_alpha == 0.0 and beam.coverage_beta == 0.0
     sources = [model.src_vocab.encode(tokens) for tokens in src_lines]
+    # A search depends only on the ids, the model and the beam config, so
+    # each distinct id sequence is searched once and its result shared.
+    results = {}
     exports, truncated = [], 0
     for i, (ids, tokens, (doc_id, idx, src_start, _)) in enumerate(zip(sources, src_lines, meta)):
-        if use_greedy:
-            result = greedy_decode(model, ids, beam.max_len(len(ids)))
-        else:
-            result = beam_decode(model, ids, beam)
+        key = ids.tobytes()
+        if key not in results:
+            if use_greedy:
+                results[key] = greedy_decode(model, ids, beam.max_len(len(ids)))
+            else:
+                results[key] = beam_decode(model, ids, beam)
+        result = results[key]
         exports.append(
             AttentionExport(
                 index=i,
@@ -279,7 +290,8 @@ def cmd_translate(args, config, manifest):
     manifest.add_output(trg_path)
     manifest.add_output(attn_path)
     counters = manifest.counters = {
-        "sentences": len(exports), "truncated": truncated, "source_tokens": sum(map(len, sources)),
+        "sentences": len(exports), "searches": len(results), "truncated": truncated,
+        "source_tokens": sum(map(len, sources)),
         "unknown_source_tokens": sum(int((ids == UNK_ID).sum()) for ids in sources), "ensemble": len(model.flat)}
     print("translate: %d sentences (%d truncated) -> %s" % (counters["sentences"], counters["truncated"], trg_path))
 

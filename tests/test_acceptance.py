@@ -291,11 +291,14 @@ def test_criterion_08_synthetic_pronoun_experiment():
                          learning_rate=0.004, batch_size=16, epochs=2, rng_seed=11)
         params = init_params(hp, src_vocab, trg_vocab)
         train(params, train_ex, savepoint_schedule=1)
-        outs = []
+        outs, searched = [], {}  # each distinct source is decoded once, as translate does
         for ex in test_ex:
             ids = src_vocab.encode(ex.source_tokens)
-            result = greedy_decode(params, ids, max_len=3 * len(ids) + 5)
-            outs.append(extract_scored_segment(result.target_tokens(params), SEGMENT_LAST))
+            key = ids.tobytes()
+            if key not in searched:
+                result = greedy_decode(params, ids, max_len=3 * len(ids) + 5)
+                searched[key] = extract_scored_segment(result.target_tokens(params), SEGMENT_LAST)
+            outs.append(searched[key])
         hyps[name] = outs
 
     src_lines = [list(u.source_tokens) for u in test_units]

@@ -126,9 +126,12 @@ def test_an_ensemble_makes_one_encode_per_sentence_and_one_decode_step_per_searc
     assert counts[1] == counts[0] and counts[0][0] == 3 and counts[0][1] >= 3
 
 
-def test_prep_analyze_passes_its_output_checks():
-    # one untraced pass: the benchmark checks the merge count, the BPE round trip and the BLEU range
-    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "prep-analyze",
+# pronoun-train is left out: whether its 2+2 system reaches the accuracy it checks depends on the seed
+@pytest.mark.parametrize("workload", ["prep-analyze", "ensemble-beam"])
+def test_workload_passes_its_output_checks(workload):
+    # one untraced pass: prep-analyze checks the merge count, the BPE round trip and the BLEU range;
+    # ensemble-beam checks the translated line counts, attention rows that sum to 1 and BLEU > 0
+    run = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
                           "--seed", "1", "--seconds", "1", "--trace", "0"],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -458,7 +458,7 @@ class TestInputBoundaries:
         lines = (d / "out" / "hyp.trg").read_text().splitlines()
         assert [len(line.split()) for line in lines] == [params.hyper.max_target_len] * 2
         manifest = json.loads((d / "out" / "manifest-translate-hyp.json").read_text())
-        assert manifest["counters"] == {"sentences": 2, "truncated": 2, "source_tokens": 3,
+        assert manifest["counters"] == {"sentences": 2, "searches": 2, "truncated": 2, "source_tokens": 3,
                                         "unknown_source_tokens": 0, "ensemble": 1}
 
     def test_translate_manifest_counts_what_it_did(self, corpus):
@@ -474,14 +474,22 @@ class TestInputBoundaries:
 
     @pytest.mark.parametrize("beam", ["1", "4"])
     @pytest.mark.parametrize("members", [1, 2])
-    def test_translate_writes_what_the_search_returned(self, corpus, beam, members):
+    def test_translate_writes_what_the_search_returned(self, corpus, monkeypatch, beam, members):
         d, params = corpus
         checkpoints = [d / ("member%d.ckpt" % seed) for seed in (0, 9)[:members]]
         for seed, path in zip((0, 9), checkpoints):
             member = init_params(dataclasses.replace(params.hyper, rng_seed=seed), params.src_vocab, params.trg_vocab)
             member.tensors["out_b"][model.EOS_ID] -= 0.3  # so that no search ends with an empty target
             save_checkpoint(member, path)
-        (d / "rt.src").write_text("a b c\nc\nb zz a c\n")
+        # "a b c" repeats, and the lines with "zz" and "yy" (both outside the vocabulary) have the same ids
+        sources = ["a b c", "c", "b zz a c", "a b c", "b yy a c"]
+        (d / "rt.src").write_text("".join(line + "\n" for line in sources))
+        searched = []
+        for name in ("greedy_decode", "beam_decode"):
+            def counted(params_or_ensemble, source_ids, *rest, search=getattr(cli, name)):
+                searched.append(source_ids.tobytes())
+                return search(params_or_ensemble, source_ids, *rest)
+            monkeypatch.setattr(cli, name, counted)
         argv = ["translate", "--source", str(d / "rt.src"), "--out", str(d / "out"), "--beam-size", beam,
                 "--alpha", "0" if beam == "1" else "0.6"]
         assert main(argv + [a for c in checkpoints for a in ("--checkpoint", str(c))]) == 0
@@ -489,13 +497,32 @@ class TestInputBoundaries:
         lines = (d / "out" / "hyp.trg").read_text().splitlines()
         models = [load_checkpoint(c) for c in checkpoints]
         config = BeamConfig(beam_size=int(beam), length_norm_alpha=0.0 if beam == "1" else 0.6)
-        assert len(exports) == len(lines) == 3
-        for source, export, line in zip(["a b c", "c", "b zz a c"], exports, lines):
+        assert len(exports) == len(lines) == 5
+        for source, export, line in zip(sources, exports, lines):
             expected = beam_decode(models, params.src_vocab.encode(source.split()), config)
             assert expected.target_ids
             assert export.source_tokens == source.split()
             assert export.target_tokens == line.split() == expected.target_tokens(params)
             assert export.weights.tobytes() == expected.weights.tobytes()
+        ids = [params.src_vocab.encode(source.split()).tobytes() for source in sources]
+        assert len(set(ids)) == 3 and sorted(searched) == sorted(set(ids))
+        manifest = json.loads((d / "out" / "manifest-translate-hyp.json").read_text())
+        assert (manifest["counters"]["sentences"], manifest["counters"]["searches"]) == (5, 3)
+
+    @pytest.mark.parametrize("bad, message", [("", "empty source"),
+                                              ("a b c a", "4 source tokens exceed max_source_len 3")])
+    def test_bad_source_line_is_data_error_before_any_search(self, corpus, monkeypatch, capsys, bad, message):
+        d, params = corpus
+        save_checkpoint(init_params(dataclasses.replace(params.hyper, max_source_len=3), params.src_vocab,
+                                    params.trg_vocab), d / "short.ckpt")
+        for name in ("greedy_decode", "beam_decode"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("searched before the source was checked"))
+        (d / "bad.src").write_text("a b\nc\n%s\nb\n" % bad)
+        for beam in ("1", "2"):
+            assert main(["translate", "--checkpoint", str(d / "short.ckpt"), "--source", str(d / "bad.src"),
+                         "--out", str(d / "out"), "--beam-size", beam, "--alpha", "0"]) == 3
+            assert capsys.readouterr().err == "data error: %s (%s:3)\n" % (message, d / "bad.src")
+            assert not (d / "out" / "hyp.trg").exists()
 
     def _members(self, d, params, **second):
         """Two checkpoints of the corpus vocabulary: params, and a member whose
