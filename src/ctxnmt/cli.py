@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -179,8 +181,9 @@ def cmd_bpe_apply(args, config, manifest):
     write_lines(args.output, (" ".join(tokens) for tokens in segmented))
     manifest.add_output(args.output)
     # the model's segmentation cache starts empty, so every repeat of a segmented token is a hit
-    words = [tok for tokens in lines for tok in tokens if not protected(tok)]
-    manifest.counters = {"tokens": sum(map(len, lines)), "cache_hits": len(words) - len(set(words))}
+    counts = Counter(chain.from_iterable(lines))
+    manifest.counters = {"tokens": sum(counts.values()),
+                         "cache_hits": sum(count - 1 for tok, count in counts.items() if not protected(tok))}
     print("bpe-apply: %d lines -> %s" % (len(segmented), args.output))
 
 

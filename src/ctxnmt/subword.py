@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, ContextConfig, open_output, read_text
@@ -84,22 +85,6 @@ def _pair_sort_key(pair: tuple[str, str], eow: str):
     return (eow in left, eow in right, left, right)
 
 
-def _merge_word(word: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
-    """Merge all non-overlapping occurrences of `pair`, left to right."""
-    left, right = pair
-    merged = left + right
-    out = []
-    i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return tuple(out)
-
-
 def _emit(symbols: Sequence[str], eow: str, join: str) -> list[str]:
     """Convert internal symbols (eow convention) to emitted subwords."""
     if not symbols:
@@ -126,9 +111,14 @@ def learn_bpe(
     (left, right) with marker-bearing symbols ordered last.
 
     Pair counts are kept live (Sennrich et al. 2016): an index from pair to
-    the words containing it limits each merge to those words, whose pair
-    counts are subtracted before the merge and added back after it.  A stale
-    word in the index is harmless: the merge leaves it unchanged.
+    the words containing it limits each merge to those words, and in each
+    only the adjacencies beside a merge change.  A merge at j removes the old
+    pairs (k, k+1) for k in {j-1, j, j+1} and adds the pairs on either side
+    of the merged symbol; each pair is counted once where two merges touch,
+    so overlapping repeats stay exact ("a a a a </w>" with (a, a) loses three
+    (a, a) and one (a, </w>) and gains (aa, aa) and (aa, </w>)).  Only the
+    new pairs are indexed.  A stale word in the index, one that no longer
+    holds the merged pair, is skipped.
 
     The best pair comes from a lazy max-heap.  A merge only removes
     adjacencies or creates ones that contain the merged symbol, so after it
@@ -177,21 +167,47 @@ def learn_bpe(
         grown = set()
         for i in index.pop(best):
             old, count = words[i], freqs[i]
-            new = _merge_word(old, best)
-            if new == old:
-                continue
-            words[i] = new
-            for pair in zip(old, old[1:]):
-                remaining = stats[pair] - count
-                if remaining:
-                    stats[pair] = remaining
+            # merge positions, left to right and non-overlapping
+            at = []
+            j, last = 0, len(old) - 1
+            while left in old[j:last]:
+                j = old.index(left, j, last)
+                if old[j + 1] == right:
+                    at.append(j)
+                    j += 2
                 else:
-                    del stats[pair]
-            for pair in zip(new, new[1:]):
-                stats[pair] = stats.get(pair, 0) + count
-                index[pair].add(i)
-                if merged in pair:
+                    j += 1
+            if not at:
+                continue
+            new = []
+            start = 0
+            for j in at:
+                new.extend(old[start:j])
+                new.append(merged)
+                start = j + 2
+            new.extend(old[start:])
+            words[i] = new = tuple(new)
+            # the old pairs (k, k+1) that a merge at j breaks: k in {j-1, j, j+1}
+            done = 0
+            for j in at:
+                for k in range(max(j - 1, done), min(j + 2, last)):
+                    pair = (old[k], old[k + 1])
+                    remaining = stats[pair] - count
+                    if remaining:
+                        stats[pair] = remaining
+                    else:
+                        del stats[pair]
+                done = min(j + 2, last)
+            # the new pairs (k, k+1) beside the merged symbol at p = j - m: k in {p-1, p}
+            done, last = 0, len(new) - 1
+            for m, j in enumerate(at):
+                p = j - m
+                for k in range(max(p - 1, done), min(p + 1, last)):
+                    pair = (new[k], new[k + 1])
+                    stats[pair] = stats.get(pair, 0) + count
+                    index[pair].add(i)
                     grown.add(pair)
+                done = min(p + 1, last)
         for pair in grown:
             if pair in stats:
                 heapq.heappush(heap, (-stats[pair], *_pair_sort_key(pair, eow_marker)))
@@ -259,9 +275,12 @@ def apply_bpe(
 ) -> list[str]:
     """Segment one token into emitted subwords.
 
-    Merges are applied in learned order; subwords whose learning-corpus count
-    falls below vocab_threshold are split back into their merge parts until
-    every piece meets the threshold or is a single symbol.  Tokens for which
+    Merges are applied in learned order: while any adjacent pair has a rank,
+    the lowest-ranked one is merged wherever it occurs, left to right.  Each
+    adjacency keeps its rank, and a merge re-ranks only the two beside the
+    merged symbol.  Subwords whose learning-corpus count falls below
+    vocab_threshold are split back into their merge parts until every piece
+    meets the threshold or is a single symbol.  Tokens for which
     `protected` is true pass through unsegmented; by default that is
     default_protected with the model's own markers.
     """
@@ -281,15 +300,25 @@ def apply_bpe(
     if hit is not None:
         return list(hit)
 
-    word = tuple(token) + (model.eow_marker,)
+    word = list(token) + [model.eow_marker]
     ranks = model.ranks
-    while len(word) > 1:
-        candidates = [
-            (ranks[pair], pair) for pair in set(zip(word, word[1:])) if pair in ranks
-        ]
-        if not candidates:
+    unranked = len(model.merges)
+    # rank[k] is the rank of the pair (word[k], word[k + 1]), unranked if it has none
+    rank = [ranks.get(pair, unranked) for pair in zip(word, word[1:])]
+    while rank:
+        best = min(rank)
+        if best == unranked:
             break
-        word = _merge_word(word, min(candidates)[1])
+        # a merged symbol's new pairs cannot rank `best` (it is longer than
+        # either part), so the first `best` left is the next one to merge
+        while best in rank:
+            k = rank.index(best)
+            word[k : k + 2] = [word[k] + word[k + 1]]
+            del rank[k]
+            if k:
+                rank[k - 1] = ranks.get((word[k - 1], word[k]), unranked)
+            if k < len(rank):
+                rank[k] = ranks.get((word[k], word[k + 1]), unranked)
 
     if vocab_threshold > 0:
         word = _enforce_threshold(model, word, vocab_threshold)
@@ -326,12 +355,12 @@ def revert_bpe(subwords: Sequence[str], join_marker: str = DEFAULT_JOIN_MARKER) 
 
 
 def word_frequencies(lines: Iterable[Sequence[str]], protected=default_protected) -> Counter:
-    """Count word frequencies over tokenized lines, skipping protected tokens."""
-    freqs: Counter = Counter()
-    for tokens in lines:
-        for tok in tokens:
-            if not protected(tok):
-                freqs[tok] += 1
+    """Count word frequencies over tokenized lines, skipping protected tokens.
+
+    Keys keep the order of their first occurrence."""
+    freqs = Counter(chain.from_iterable(lines))
+    for tok in [tok for tok in freqs if protected(tok)]:
+        del freqs[tok]
     return freqs
 
 
@@ -370,8 +399,12 @@ def load_bpe_model(path) -> BpeModel:
         if not eow or not join or min(n_merges, n_vocab) < 0 or len(lines) != 1 + n_merges + n_vocab:
             raise ValueError("header does not describe the file")
         merges = [tuple(line.split(" ")) for line in lines[1 : 1 + n_merges]]
-        if any(len(pair) != 2 for pair in merges):
-            raise ValueError("merge line is not two symbols separated by one space")
+        for lineno, pair in enumerate(merges, start=2):
+            # an empty symbol would make threshold splitting split forever
+            if len(pair) != 2 or not all(pair):
+                raise MalformedSegmentationError(
+                    "malformed model file %s:%d: a merge is two non-empty symbols separated by one space"
+                    % (path, lineno))
         vocab = {}
         for line in lines[1 + n_merges :]:
             sw, count = line.rsplit("\t", 1)

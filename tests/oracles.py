@@ -281,6 +281,44 @@ def oracle_learn_bpe(word_frequencies, num_merges, eow_marker, join_marker):
     return SimpleNamespace(merges=tuple(merges), subword_vocab=dict(counts))
 
 
+def oracle_apply_bpe(model, token, vocab_threshold):
+    """Segmentation that rebuilds the word's whole pair set after every
+    merge: merge the lowest-ranked pair present (rank = first position in
+    model.merges) until none is left, then split, left to right and starting
+    over after each split, the first symbol whose emitted form is rarer than
+    vocab_threshold into the first merge that spells it."""
+    eow, join = model.eow_marker, model.join_marker
+    word = tuple(token) + (eow,)
+    while True:
+        present = [pair for pair in set(zip(word, word[1:])) if pair in model.merges]
+        if not present:
+            break
+        word = _merge_word(word, min(present, key=model.merges.index))
+    if vocab_threshold > 0:
+        split = True
+        while split:
+            split = False
+            pieces = _emit(word, eow, join)
+            for idx, piece in enumerate(pieces):
+                parts = [pair for pair in model.merges if pair[0] + pair[1] == word[idx]]
+                if model.subword_vocab.get(piece, 0) < vocab_threshold and parts:
+                    word = word[:idx] + parts[0] + word[idx + 1 :]
+                    split = True
+                    break
+    return _emit(word, eow, join)
+
+
+def oracle_word_frequencies(lines, protected):
+    """Per-token counts of the unprotected tokens, keyed in order of first
+    occurrence."""
+    freqs = {}
+    for tokens in lines:
+        for tok in tokens:
+            if not protected(tok):
+                freqs[tok] = freqs.get(tok, 0) + 1
+    return freqs
+
+
 # LSTM recurrences: one loop per direction, and np.where keeps a padded row's
 # state where model.py zeroes it.  The oracle_* stand-ins replace model's
 # _encode/_run_decoder pairs, so backward() can run on them.

@@ -776,6 +776,21 @@ class TestInputBoundaries:
                 "--output", str(tmp_path / "seg.txt")]
         assert main(argv) == 3
 
+    @pytest.mark.parametrize("merge", ["a ", " a"], ids=["empty-right", "empty-left"])
+    def test_empty_merge_symbol_is_data_error(self, tmp_path, merge):
+        # threshold splitting once split "a" into "a" and "" forever, so the
+        # command runs in a subprocess that a regression times out
+        model = tmp_path / "empty.bpe"
+        model.write_text("bpe-v1\teow=</w>\tjoin=@@\tmerges=1\tvocab=2\n%s\na\t1\nb\t1\n" % merge)
+        (tmp_path / "in.txt").write_text("ab a b\n")
+        src = str(Path(ctxnmt.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "ctxnmt.cli", "bpe-apply", "--model", str(model),
+                              "--input", str(tmp_path / "in.txt"), "--output", str(tmp_path / "seg.txt"),
+                              "--vocab-threshold", "3"], env=env, capture_output=True, text=True, timeout=30)
+        assert run.returncode == 3
+        assert "%s:2" % model in run.stderr
+
     def test_unreadable_text_inputs_are_data_errors(self, corpus):
         d, _ = corpus
         (d / "bad.txt").write_bytes(b"a b\n\xff c\n")

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from ctxnmt.errors import ConfigError, MalformedSegmentationError
 from ctxnmt.subword import (
+    BpeModel,
     apply_bpe,
     apply_bpe_line,
+    default_protected,
     learn_bpe,
     load_bpe_model,
     revert_bpe,
@@ -18,7 +20,7 @@ from ctxnmt.subword import (
     word_frequencies,
 )
 
-from oracles import oracle_learn_bpe
+from oracles import oracle_apply_bpe, oracle_learn_bpe, oracle_word_frequencies
 
 DATA = Path(__file__).parent / "data"
 
@@ -186,6 +188,13 @@ small_words_st = st.sampled_from(["ab", "abc"]).flatmap(
          markers=("</w>", "@@"))
 # merging (c, a) re-files the stale (b, c) entry at 5 and pushes (ca, b) fresh at 5, the new maximum
 @example(words={"aca": 3, "bcabc": 1, "cabcb": 4}, num_merges=10, markers=("</w>", "@@"))
+# overlapping repeats: (a, a) merges twice in "aaaa" and leaves one "a" in "aaaaa"
+@example(words={"aaaa": 3, "aaaaa": 2}, num_merges=10, markers=("</w>", "@@"))
+@example(words={"abab": 4, "ab": 1}, num_merges=10, markers=("</w>", "@@"))
+# the first merge, (a, b), is at the start of both words, so no pair lies to its left
+@example(words={"abc": 5, "ab": 3}, num_merges=10, markers=("</w>", "@@"))
+# the first merge, (b, </w>), is at the end of both words, so no pair lies to its right
+@example(words={"ab": 3, "b": 2}, num_merges=10, markers=("</w>", "@@"))
 def test_learn_matches_recount_oracle(words, num_merges, markers):
     # small alphabets and counts make ties and overlapping repeats common
     model = learn_bpe(words, num_merges, *markers)
@@ -222,6 +231,55 @@ def test_learn_matches_recount_oracle_tie_heavy_zipfian():
     assert len(model.merges) == 200
     assert model.merges == oracle.merges
     assert model.subword_vocab == oracle.subword_vocab
+
+
+symbol_st = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@st.composite
+def handmade_models(draw):
+    """Merge lists that need not come from learning: a pair may repeat, and
+    two merges may spell one string."""
+    rights = st.one_of(symbol_st, symbol_st.map(lambda s: s + "</w>"), st.just("</w>"))
+    merges = draw(st.lists(st.tuples(symbol_st, rights), max_size=12))
+    forms = set()
+    for left, right in merges:
+        spelled = left + right
+        forms.update([spelled[:-4]] if spelled.endswith("</w>") else [spelled, spelled + "@@"])
+    vocab = draw(st.fixed_dictionaries({form: st.integers(min_value=0, max_value=6) for form in sorted(forms)}))
+    return BpeModel(merges=tuple(merges), subword_vocab=vocab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.one_of(st.builds(learn_bpe, small_words_st, st.integers(min_value=0, max_value=30)), handmade_models()),
+    tokens=st.lists(st.text(alphabet="abc", min_size=1, max_size=9), min_size=1, max_size=8),
+    threshold=st.sampled_from([0, 1, 3, 6]),
+)
+@example(
+    model=BpeModel(merges=(("a", "b"), ("b", "c"), ("a", "b"), ("a", "bc"), ("ab", "c"), ("abc", "</w>")),
+                   subword_vocab={"ab@@": 1, "bc@@": 5, "abc": 2, "abc@@": 4}),
+    tokens=["abc", "abcabc", "ababc", "bcabc"], threshold=3,
+)
+# after (b, c) merges, the old ranks of (a, b) and (c, d) no longer apply: "a@@ bc", "bc@@ d"
+@example(model=BpeModel(merges=(("b", "c"), ("c", "d"), ("a", "b")), subword_vocab={}), tokens=["abc", "bcd"],
+         threshold=0)
+def test_apply_matches_pair_set_oracle(model, tokens, threshold):
+    for token in tokens:
+        assert apply_bpe(model, token, threshold) == oracle_apply_bpe(model, token, threshold)
+
+
+line_tokens_st = st.one_of(
+    st.sampled_from(["_BREAK_", "cc_a", "cc_", "a@@", "@@b", "a</w>", "</w>"]),
+    st.text(alphabet="ab_c", min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.lists(line_tokens_st, max_size=8), max_size=6))
+def test_word_frequencies_match_per_token_oracle(lines):
+    freqs = word_frequencies(lines)
+    assert list(freqs.items()) == list(oracle_word_frequencies(lines, default_protected).items())
 
 
 class TestModelFile:
