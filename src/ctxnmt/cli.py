@@ -43,8 +43,6 @@ from .corpus import (
 )
 from .decode import (
     AttentionExport,
-    SEGMENT_ALL,
-    SEGMENT_LAST,
     as_ensemble,
     beam_decode,
     extract_scored_segment,
@@ -173,7 +171,7 @@ def cmd_bpe_learn(args, config, manifest):
 
 def cmd_bpe_apply(args, config, manifest):
     model = load_bpe_model(args.model)
-    protected = protection(config.context, model.eow_marker, model.join_marker)
+    protected = protection(config.context)
     lines = _read_lines(args.input)
     manifest.add_input(args.model)
     manifest.add_input(args.input)
@@ -303,8 +301,7 @@ def cmd_score(args, config, manifest):
     hyp = _read_lines(args.hyp)
     ref = _read_lines(args.ref)
     if args.segment_mode != "none":
-        mode = SEGMENT_LAST if args.segment_mode == "last" else SEGMENT_ALL
-        hyp = [extract_scored_segment(tokens, mode, config.context.break_token) for tokens in hyp]
+        hyp = [extract_scored_segment(tokens, args.segment_mode, config.context.break_token) for tokens in hyp]
     if args.regime == "extended":
         if not args.docs:
             raise ConfigError("--docs is required for the extended scoring regime")

@@ -345,7 +345,7 @@ def _id_batch(seqs, vocab_size, max_len, what):
         raise InputError("%s id out of vocabulary range [0, %d)" % (what, vocab_size))
     lengths = np.array([len(x) for x in seqs])
     if lengths.max() > max_len:
-        raise InputError("%s length %d exceeds max_%s_len %d" % (what, lengths.max(), what, max_len))
+        raise InputError("%s length %d exceeds the %d that max_%s_len allows" % (what, lengths.max(), max_len, what))
     batch = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
     batch[np.arange(batch.shape[1]) < lengths[:, None]] = ids
     return batch, lengths
@@ -362,8 +362,9 @@ def _source_batch(params: ModelParams, sources):
 def _target_batch(params: ModelParams, targets):
     """Teacher-forcing arrays (B, T) with T = longest target + 1: decoder
     inputs (<bos> + target) and predictions (target + <eos>), both shifts of
-    one array, and their mask (0 where a shorter row's input reads <eos>)."""
-    trg, lengths = _id_batch(targets, len(params.trg_vocab), params.hyper.max_target_len, "target")
+    one array, and their mask (0 where a shorter row's input reads <eos>).
+    max_target_len counts the <eos>, as in training and decoding."""
+    trg, lengths = _id_batch(targets, len(params.trg_vocab), params.hyper.max_target_len - 1, "target")
     rows = np.pad(trg, ((0, 0), (1, 1)), constant_values=PAD_ID)
     rows[:, 0] = BOS_ID
     rows[np.arange(len(trg)), lengths + 1] = EOS_ID

@@ -3,13 +3,15 @@
 learn_bpe() iterates most-frequent-adjacent-pair merging over a word
 frequency map; apply_bpe() replays the merges on a token and enforces a
 vocabulary count threshold by recursively splitting rare subwords back into
-their merge parts.  Words are learned with an explicit end-of-word marker
-symbol; emitted subwords carry a join marker ("@@") on every non-final piece
-so that revert_bpe() can losslessly restore the original tokens.
+their merge parts.  Words are learned with the end-of-word marker EOW_MARKER
+("</w>") as their last symbol; emitted subwords carry the join marker
+JOIN_MARKER ("@@") on every non-final piece so that revert_bpe() can
+losslessly restore the original tokens.  Both markers are fixed: a model file
+that names any other marker is malformed.
 
 Reserved strings: the break token, context-prefixed tokens, and any token
-containing the end-of-word or join marker are never segmented (they pass
-through apply_bpe verbatim).  Tokens that *end* with the join marker cannot
+containing either marker are never segmented (they pass through apply_bpe
+verbatim; see protection()).  Tokens that *end* with the join marker cannot
 be represented unambiguously and are outside the format's domain.
 """
 
@@ -17,15 +19,15 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import DEFAULT_BREAK_TOKEN, DEFAULT_CONTEXT_PREFIX, ContextConfig, open_output, read_text
+from .corpus import ContextConfig, open_output, read_text
 from .errors import ConfigError, MalformedSegmentationError
 
-DEFAULT_EOW_MARKER = "</w>"
-DEFAULT_JOIN_MARKER = "@@"
+EOW_MARKER = "</w>"
+JOIN_MARKER = "@@"
 
 
 @dataclass(frozen=True)
@@ -48,62 +50,43 @@ class BpeModel:
 
     subword_vocab is keyed by emitted form (join marker included on non-final
     pieces), which is what the application threshold is checked against.
+    Construction also builds `ranks` (pair -> first position in merges),
+    `reverse` (merged string -> the first merge that spells it) and an empty
+    segmentation cache `_cache`, keyed by (token, vocab_threshold).
     """
 
     merges: tuple[tuple[str, str], ...]
     subword_vocab: dict[str, int]
-    eow_marker: str = DEFAULT_EOW_MARKER
-    join_marker: str = DEFAULT_JOIN_MARKER
 
-    _ranks: dict = field(default=None, repr=False, compare=False)
-    _reverse: dict = field(default=None, repr=False, compare=False)
-    _cache: dict = field(default=None, repr=False, compare=False)
-
-    @property
-    def ranks(self) -> dict[tuple[str, str], int]:
-        if self._ranks is None:
-            ranks = {}
-            for i, pair in enumerate(self.merges):
-                ranks.setdefault(pair, i)
-            object.__setattr__(self, "_ranks", ranks)
-        return self._ranks
-
-    @property
-    def reverse(self) -> dict[str, tuple[str, str]]:
-        # first-learned merge wins when two merges concatenate to the same string
-        if self._reverse is None:
-            rev = {}
-            for left, right in self.merges:
-                rev.setdefault(left + right, (left, right))
-            object.__setattr__(self, "_reverse", rev)
-        return self._reverse
+    def __post_init__(self):
+        self.ranks: dict[tuple[str, str], int] = {}
+        self.reverse: dict[str, tuple[str, str]] = {}
+        for i, (left, right) in enumerate(self.merges):
+            self.ranks.setdefault((left, right), i)
+            self.reverse.setdefault(left + right, (left, right))
+        self._cache: dict[tuple[str, int], tuple[str, ...]] = {}
 
 
-def _pair_sort_key(pair: tuple[str, str], eow: str):
+def _pair_sort_key(pair: tuple[str, str]):
     # content merges win ties against marker merges; plain string order otherwise
     left, right = pair
-    return (eow in left, eow in right, left, right)
+    return (EOW_MARKER in left, EOW_MARKER in right, left, right)
 
 
-def _emit(symbols: Sequence[str], eow: str, join: str) -> list[str]:
-    """Convert internal symbols (eow convention) to emitted subwords."""
+def _emit(symbols: Sequence[str]) -> list[str]:
+    """Convert internal symbols (end-of-word marker last) to emitted subwords."""
     if not symbols:
         return []
-    if symbols[-1] == eow:
+    if symbols[-1] == EOW_MARKER:
         body = list(symbols[:-1])
     else:
-        body = list(symbols[:-1]) + [symbols[-1][: -len(eow)]]
+        body = list(symbols[:-1]) + [symbols[-1][: -len(EOW_MARKER)]]
     if not body:
         return []
-    return [s + join for s in body[:-1]] + [body[-1]]
+    return [s + JOIN_MARKER for s in body[:-1]] + [body[-1]]
 
 
-def learn_bpe(
-    word_frequencies: Mapping[str, int],
-    num_merges: int,
-    eow_marker: str = DEFAULT_EOW_MARKER,
-    join_marker: str = DEFAULT_JOIN_MARKER,
-) -> BpeModel:
+def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int) -> BpeModel:
     """Learn merge operations from a word frequency map.
 
     Performs min(num_merges, available) merges; at each step the most
@@ -137,7 +120,7 @@ def learn_bpe(
             raise ConfigError("word frequency for %r must be > 0" % word)
         if any(ch.isspace() for ch in word):
             raise ConfigError("cannot learn from a word containing whitespace: %r" % word)
-        words.append(tuple(word) + (eow_marker,))
+        words.append(tuple(word) + (EOW_MARKER,))
         freqs.append(count)
 
     stats: dict[tuple[str, str], int] = {}
@@ -149,7 +132,7 @@ def learn_bpe(
 
     # (-count, *_pair_sort_key(pair)): the smallest entry is the best pair, and
     # a pair's largest entry is never below its live count (see docstring)
-    heap = [(-count, *_pair_sort_key(pair, eow_marker)) for pair, count in stats.items()]
+    heap = [(-count, *_pair_sort_key(pair)) for pair, count in stats.items()]
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     while len(merges) < num_merges and heap:
@@ -160,7 +143,7 @@ def learn_bpe(
             heapq.heappop(heap)
             continue
         if live != -neg_count:
-            heapq.heapreplace(heap, (-live, *_pair_sort_key(best, eow_marker)))
+            heapq.heapreplace(heap, (-live, *_pair_sort_key(best)))
             continue
         merges.append(best)
         merged = left + right
@@ -210,41 +193,32 @@ def learn_bpe(
                 done = min(p + 1, last)
         for pair in grown:
             if pair in stats:
-                heapq.heappush(heap, (-stats[pair], *_pair_sort_key(pair, eow_marker)))
+                heapq.heappush(heap, (-stats[pair], *_pair_sort_key(pair)))
 
+    # free the pair tables before BpeModel builds its ranks and reverse tables,
+    # so that building them does not raise the peak memory of learning
+    del stats, index, heap
     counts: Counter = Counter()
     for word, count in zip(words, freqs):
-        for piece in _emit(word, eow_marker, join_marker):
+        for piece in _emit(word):
             counts[piece] += count
-    return BpeModel(
-        merges=tuple(merges),
-        subword_vocab=dict(counts),
-        eow_marker=eow_marker,
-        join_marker=join_marker,
-    )
+    return BpeModel(merges=tuple(merges), subword_vocab=dict(counts))
 
 
-def default_protected(
-    token: str,
-    eow_marker: str = DEFAULT_EOW_MARKER,
-    join_marker: str = DEFAULT_JOIN_MARKER,
-    break_token: str = DEFAULT_BREAK_TOKEN,
-    context_prefix: str = DEFAULT_CONTEXT_PREFIX,
-) -> bool:
-    """Tokens apply_bpe must pass through unsegmented: the break token,
-    context-prefixed tokens and tokens containing either marker."""
-    return (
+def protection(context: ContextConfig):
+    """The predicate for tokens apply_bpe must pass through unsegmented: the
+    break token and the context-prefixed tokens of `context`, and tokens
+    containing either marker."""
+    break_token, context_prefix = context.break_token, context.context_prefix
+    return lambda token: (
         token == break_token
         or token.startswith(context_prefix)
-        or eow_marker in token
-        or join_marker in token
+        or EOW_MARKER in token
+        or JOIN_MARKER in token
     )
 
 
-def protection(context: ContextConfig, eow_marker: str = DEFAULT_EOW_MARKER, join_marker: str = DEFAULT_JOIN_MARKER):
-    """default_protected for the break token and context prefix of `context`."""
-    break_token, context_prefix = context.break_token, context.context_prefix
-    return lambda token: default_protected(token, eow_marker, join_marker, break_token, context_prefix)
+default_protected = protection(ContextConfig())
 
 
 def _enforce_threshold(model: BpeModel, word: tuple[str, ...], threshold: int) -> tuple[str, ...]:
@@ -257,8 +231,8 @@ def _enforce_threshold(model: BpeModel, word: tuple[str, ...], threshold: int) -
     """
     symbols = list(word)
     while True:
-        pieces = _emit(symbols, model.eow_marker, model.join_marker)
-        content = symbols[:-1] if symbols and symbols[-1] == model.eow_marker else symbols
+        pieces = _emit(symbols)
+        content = symbols[:-1] if symbols and symbols[-1] == EOW_MARKER else symbols
         for idx, (sym, piece) in enumerate(zip(content, pieces)):
             if model.subword_vocab.get(piece, 0) < threshold and sym in model.reverse:
                 symbols[idx : idx + 1] = list(model.reverse[sym])
@@ -271,7 +245,7 @@ def apply_bpe(
     model: BpeModel,
     token: str,
     vocab_threshold: int = 0,
-    protected=None,
+    protected=default_protected,
 ) -> list[str]:
     """Segment one token into emitted subwords.
 
@@ -281,26 +255,22 @@ def apply_bpe(
     merged symbol.  Subwords whose learning-corpus count falls below
     vocab_threshold are split back into their merge parts until every piece
     meets the threshold or is a single symbol.  Tokens for which
-    `protected` is true pass through unsegmented; by default that is
-    default_protected with the model's own markers.
+    `protected` is true pass through unsegmented.
     """
     if not token:
         raise ConfigError("cannot segment an empty token")
     if vocab_threshold < 0:
         raise ConfigError("vocab_threshold must be >= 0")
-    if protected(token) if protected else default_protected(token, model.eow_marker, model.join_marker):
+    if protected(token):
         return [token]
 
     cache = model._cache
-    if cache is None:
-        cache = {}
-        object.__setattr__(model, "_cache", cache)
     key = (token, vocab_threshold)
     hit = cache.get(key)
     if hit is not None:
         return list(hit)
 
-    word = list(token) + [model.eow_marker]
+    word = list(token) + [EOW_MARKER]
     ranks = model.ranks
     unranked = len(model.merges)
     # rank[k] is the rank of the pair (word[k], word[k + 1]), unranked if it has none
@@ -322,13 +292,15 @@ def apply_bpe(
 
     if vocab_threshold > 0:
         word = _enforce_threshold(model, word, vocab_threshold)
-    pieces = _emit(word, model.eow_marker, model.join_marker)
+    pieces = _emit(word)
 
     cache[key] = tuple(pieces)
     return pieces
 
 
-def apply_bpe_line(model: BpeModel, tokens: Sequence[str], vocab_threshold: int = 0, protected=None) -> list[str]:
+def apply_bpe_line(
+    model: BpeModel, tokens: Sequence[str], vocab_threshold: int = 0, protected=default_protected
+) -> list[str]:
     """Segment every token of a line, preserving order; `protected` as in apply_bpe."""
     out: list[str] = []
     for tok in tokens:
@@ -336,13 +308,13 @@ def apply_bpe_line(model: BpeModel, tokens: Sequence[str], vocab_threshold: int 
     return out
 
 
-def revert_bpe(subwords: Sequence[str], join_marker: str = DEFAULT_JOIN_MARKER) -> list[str]:
+def revert_bpe(subwords: Sequence[str]) -> list[str]:
     """Undo segmentation: glue subwords at join markers back into tokens."""
     tokens: list[str] = []
     current: list[str] = []
     for sw in subwords:
-        if sw.endswith(join_marker) and len(sw) > len(join_marker):
-            current.append(sw[: -len(join_marker)])
+        if sw.endswith(JOIN_MARKER) and len(sw) > len(JOIN_MARKER):
+            current.append(sw[: -len(JOIN_MARKER)])
         else:
             current.append(sw)
             tokens.append("".join(current))
@@ -365,8 +337,8 @@ def word_frequencies(lines: Iterable[Sequence[str]], protected=default_protected
 
 
 # ---------------------------------------------------------------------------
-# Model file: one header line (version + conventions + section sizes), then
-# merge pairs in learned order, then "subword<TAB>count" vocabulary entries.
+# Model file: one header line (version, the two fixed markers, section sizes),
+# then merge pairs in learned order, then "subword<TAB>count" vocabulary entries.
 # ---------------------------------------------------------------------------
 
 _FORMAT_VERSION = "bpe-v1"
@@ -375,7 +347,7 @@ _FORMAT_VERSION = "bpe-v1"
 def save_bpe_model(model: BpeModel, path):
     lines = [
         "%s\teow=%s\tjoin=%s\tmerges=%d\tvocab=%d"
-        % (_FORMAT_VERSION, model.eow_marker, model.join_marker, len(model.merges), len(model.subword_vocab))
+        % (_FORMAT_VERSION, EOW_MARKER, JOIN_MARKER, len(model.merges), len(model.subword_vocab))
     ]
     lines.extend("%s %s" % pair for pair in model.merges)
     lines.extend("%s\t%d" % (sw, c) for sw, c in sorted(model.subword_vocab.items()))
@@ -384,8 +356,8 @@ def save_bpe_model(model: BpeModel, path):
 
 
 def load_bpe_model(path) -> BpeModel:
-    """A file that does not follow the model format raises
-    MalformedSegmentationError."""
+    """A file that does not follow the model format, or names markers other
+    than EOW_MARKER and JOIN_MARKER, raises MalformedSegmentationError."""
     lines = read_text(path, MalformedSegmentationError).splitlines()
     if not lines:
         raise MalformedSegmentationError("empty model file: %s" % path)
@@ -394,9 +366,12 @@ def load_bpe_model(path) -> BpeModel:
         raise MalformedSegmentationError("unrecognized model header in %s" % path)
     try:
         fields = dict(item.split("=", 1) for item in header[1:])
-        eow, join = fields["eow"], fields["join"]
+        if (fields["eow"], fields["join"]) != (EOW_MARKER, JOIN_MARKER):
+            raise MalformedSegmentationError(
+                "model file %s has markers eow=%s join=%s; only eow=%s join=%s are supported"
+                % (path, fields["eow"], fields["join"], EOW_MARKER, JOIN_MARKER))
         n_merges, n_vocab = int(fields["merges"]), int(fields["vocab"])
-        if not eow or not join or min(n_merges, n_vocab) < 0 or len(lines) != 1 + n_merges + n_vocab:
+        if min(n_merges, n_vocab) < 0 or len(lines) != 1 + n_merges + n_vocab:
             raise ValueError("header does not describe the file")
         merges = [tuple(line.split(" ")) for line in lines[1 : 1 + n_merges]]
         for lineno, pair in enumerate(merges, start=2):
@@ -411,4 +386,4 @@ def load_bpe_model(path) -> BpeModel:
             vocab[sw] = int(count)
     except (ValueError, KeyError) as exc:
         raise MalformedSegmentationError("malformed model file %s: %s" % (path, exc)) from None
-    return BpeModel(merges=tuple(merges), subword_vocab=vocab, eow_marker=eow, join_marker=join)
+    return BpeModel(merges=tuple(merges), subword_vocab=vocab)

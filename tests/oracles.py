@@ -15,6 +15,7 @@ import numpy as np
 from ctxnmt.decode import BeamConfig, DecodeResult
 from ctxnmt.errors import NumericError
 from ctxnmt.model import BOS_ID, EOS_ID, PAD_ID, DecoderState, ModelParams, decode_step, encode, init_decoder_state
+from ctxnmt.subword import EOW_MARKER, JOIN_MARKER
 
 
 def _ngrams_list(seq, n):
@@ -226,9 +227,9 @@ def oracle_corpus_external_proportion(partitions):
     return ext / total if total > 0 else 0.0
 
 
-def _pair_sort_key(pair, eow):
+def _pair_sort_key(pair):
     left, right = pair
-    return (eow in left, eow in right, left, right)
+    return (EOW_MARKER in left, EOW_MARKER in right, left, right)
 
 
 def _merge_word(word, pair):
@@ -244,19 +245,19 @@ def _merge_word(word, pair):
     return tuple(out)
 
 
-def _emit(symbols, eow, join):
+def _emit(symbols):
     body = [s for s in symbols[:-1]]
-    if symbols and symbols[-1] != eow:
-        body.append(symbols[-1][: -len(eow)])
-    return [s + join for s in body[:-1]] + body[-1:]
+    if symbols and symbols[-1] != EOW_MARKER:
+        body.append(symbols[-1][: -len(EOW_MARKER)])
+    return [s + JOIN_MARKER for s in body[:-1]] + body[-1:]
 
 
-def oracle_learn_bpe(word_frequencies, num_merges, eow_marker, join_marker):
+def oracle_learn_bpe(word_frequencies, num_merges):
     """BPE learning that recounts every adjacent pair over the whole
     vocabulary before each merge; returns `.merges` and `.subword_vocab`."""
     vocab = {}
     for word, count in word_frequencies.items():
-        vocab[tuple(word) + (eow_marker,)] = count
+        vocab[tuple(word) + (EOW_MARKER,)] = count
 
     merges = []
     for _ in range(num_merges):
@@ -269,14 +270,14 @@ def oracle_learn_bpe(word_frequencies, num_merges, eow_marker, join_marker):
         best_count = max(stats.values())
         best = min(
             (p for p, c in stats.items() if c == best_count),
-            key=lambda p: _pair_sort_key(p, eow_marker),
+            key=_pair_sort_key,
         )
         merges.append(best)
         vocab = {_merge_word(word, best): count for word, count in vocab.items()}
 
     counts = Counter()
     for word, count in vocab.items():
-        for piece in _emit(word, eow_marker, join_marker):
+        for piece in _emit(word):
             counts[piece] += count
     return SimpleNamespace(merges=tuple(merges), subword_vocab=dict(counts))
 
@@ -287,8 +288,7 @@ def oracle_apply_bpe(model, token, vocab_threshold):
     model.merges) until none is left, then split, left to right and starting
     over after each split, the first symbol whose emitted form is rarer than
     vocab_threshold into the first merge that spells it."""
-    eow, join = model.eow_marker, model.join_marker
-    word = tuple(token) + (eow,)
+    word = tuple(token) + (EOW_MARKER,)
     while True:
         present = [pair for pair in set(zip(word, word[1:])) if pair in model.merges]
         if not present:
@@ -298,14 +298,14 @@ def oracle_apply_bpe(model, token, vocab_threshold):
         split = True
         while split:
             split = False
-            pieces = _emit(word, eow, join)
+            pieces = _emit(word)
             for idx, piece in enumerate(pieces):
                 parts = [pair for pair in model.merges if pair[0] + pair[1] == word[idx]]
                 if model.subword_vocab.get(piece, 0) < vocab_threshold and parts:
                     word = word[:idx] + parts[0] + word[idx + 1 :]
                     split = True
                     break
-    return _emit(word, eow, join)
+    return _emit(word)
 
 
 def oracle_word_frequencies(lines, protected):

@@ -765,8 +765,10 @@ class TestInputBoundaries:
 
     @pytest.mark.parametrize(
         "old, new",
-        [("\ns i\n", "\nsi\n"), ("merges=40", "merges=4O"), ("eow=", "eow"), ("\nwo\t2", "\nwo 2")],
-        ids=["merge-without-space", "non-integer-merges", "field-without-equals", "vocab-without-tab"],
+        [("\ns i\n", "\nsi\n"), ("merges=40", "merges=4O"), ("eow=", "eow"), ("\nwo\t2", "\nwo 2"),
+         ("eow=</w>", "eow=<e>"), ("join=@@", "join=~~")],
+        ids=["merge-without-space", "non-integer-merges", "field-without-equals", "vocab-without-tab",
+             "other-eow-marker", "other-join-marker"],
     )
     def test_malformed_bpe_model_is_data_error(self, tmp_path, old, new):
         text = (DATA / "golden_bpe.model").read_text()

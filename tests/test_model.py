@@ -282,6 +282,16 @@ class TestBatch:
         with pytest.raises(InputError):
             backward(params, [src_vocab.encode(["a"])], [])
 
+    def test_max_target_len_counts_eos(self):
+        # the cap includes <eos>, as in train and beam_search
+        params, src_vocab, trg_vocab = tiny_model(max_target_len=3)
+        src = src_vocab.encode(["a"])
+        backward(params, [src], [trg_vocab.encode(["x", "y"])])
+        with pytest.raises(InputError):
+            backward(params, [src], [trg_vocab.encode(["x", "y", "z"])])
+        with pytest.raises(InputError):
+            forward_loss(params, src, trg_vocab.encode(["x", "y", "z"]))
+
 
 def equal_length_batch(src_vocab, trg_vocab, seed=0):
     rng = np.random.default_rng(seed)

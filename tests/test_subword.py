@@ -98,16 +98,11 @@ class TestApply:
         assert revert_bpe(out) == ["abc"]
 
     def test_protected_tokens(self):
-        model = learn_bpe({"ab": 2}, 3)
-        assert apply_bpe(model, "_BREAK_") == ["_BREAK_"]
-        assert apply_bpe(model, "cc_siehst") == ["cc_siehst"]
-
-    def test_protected_tokens_use_the_models_markers(self):
-        model = learn_bpe({"ab": 2, "abc": 1}, 2, eow_marker="<e>", join_marker="~~")
-        for token in ("ab~~", "a~~b", "x<e>y", "_BREAK_", "cc_ab"):
+        model = learn_bpe({"ab": 2, "abc": 1}, 2)
+        for token in ("_BREAK_", "cc_siehst", "cc_ab", "ab@@", "a@@b", "x</w>y"):
             assert apply_bpe(model, token) == [token]
-        assert apply_bpe(model, "abc") == ["ab~~", "c"]
-        assert apply_bpe(model, "ab@@c") == ["ab~~", "@~~", "@~~", "c"]  # "@@" is ordinary text here
+        assert apply_bpe(model, "abc") == ["ab@@", "c"]
+        assert apply_bpe(model, "ab~~c") == ["ab@@", "~@@", "~@@", "c"]  # "~~" is ordinary text
 
     def test_single_char_token(self):
         model = learn_bpe({"a": 1}, 0)
@@ -171,7 +166,6 @@ def test_learn_deterministic(words, num_merges):
     assert learn_bpe(words, num_merges) == learn_bpe(words, num_merges)
 
 
-markers_st = st.sampled_from([("</w>", "@@"), ("$", "~"), ("<e>", "+")])
 small_words_st = st.sampled_from(["ab", "abc"]).flatmap(
     lambda alphabet: st.dictionaries(
         st.text(alphabet=alphabet, min_size=0, max_size=9), st.integers(min_value=1, max_value=6),
@@ -181,24 +175,23 @@ small_words_st = st.sampled_from(["ab", "abc"]).flatmap(
 
 
 @settings(max_examples=200, deadline=None)
-@given(words=small_words_st, num_merges=st.integers(min_value=0, max_value=30), markers=markers_st)
-@example(words={"aaaa": 3, "abab": 2, "aaa": 1, "ba": 2}, num_merges=10, markers=("</w>", "@@"))
+@given(words=small_words_st, num_merges=st.integers(min_value=0, max_value=30))
+@example(words={"aaaa": 3, "abab": 2, "aaa": 1, "ba": 2}, num_merges=10)
 # every frequency is 1, and each of the 22 picks (at counts 4, 3, 2, 1) breaks a tie
-@example(words=dict.fromkeys(["aacab", "cccba", "cacc", "cbcb", "bab", "caaaa", "cabac"], 1), num_merges=22,
-         markers=("</w>", "@@"))
+@example(words=dict.fromkeys(["aacab", "cccba", "cacc", "cbcb", "bab", "caaaa", "cabac"], 1), num_merges=22)
 # merging (c, a) re-files the stale (b, c) entry at 5 and pushes (ca, b) fresh at 5, the new maximum
-@example(words={"aca": 3, "bcabc": 1, "cabcb": 4}, num_merges=10, markers=("</w>", "@@"))
+@example(words={"aca": 3, "bcabc": 1, "cabcb": 4}, num_merges=10)
 # overlapping repeats: (a, a) merges twice in "aaaa" and leaves one "a" in "aaaaa"
-@example(words={"aaaa": 3, "aaaaa": 2}, num_merges=10, markers=("</w>", "@@"))
-@example(words={"abab": 4, "ab": 1}, num_merges=10, markers=("</w>", "@@"))
+@example(words={"aaaa": 3, "aaaaa": 2}, num_merges=10)
+@example(words={"abab": 4, "ab": 1}, num_merges=10)
 # the first merge, (a, b), is at the start of both words, so no pair lies to its left
-@example(words={"abc": 5, "ab": 3}, num_merges=10, markers=("</w>", "@@"))
+@example(words={"abc": 5, "ab": 3}, num_merges=10)
 # the first merge, (b, </w>), is at the end of both words, so no pair lies to its right
-@example(words={"ab": 3, "b": 2}, num_merges=10, markers=("</w>", "@@"))
-def test_learn_matches_recount_oracle(words, num_merges, markers):
+@example(words={"ab": 3, "b": 2}, num_merges=10)
+def test_learn_matches_recount_oracle(words, num_merges):
     # small alphabets and counts make ties and overlapping repeats common
-    model = learn_bpe(words, num_merges, *markers)
-    oracle = oracle_learn_bpe(words, num_merges, *markers)
+    model = learn_bpe(words, num_merges)
+    oracle = oracle_learn_bpe(words, num_merges)
     assert model.merges == oracle.merges
     assert model.subword_vocab == oracle.subword_vocab
 
@@ -210,7 +203,7 @@ def test_learn_matches_recount_oracle_zipfian():
         types.add("".join(rng.choice("abcdefg") for _ in range(rng.randint(1, 9))))
     words = {word: 1 + 600 // rank for rank, word in enumerate(sorted(types), start=1)}
     model = learn_bpe(words, 150)
-    oracle = oracle_learn_bpe(words, 150, "</w>", "@@")
+    oracle = oracle_learn_bpe(words, 150)
     assert len(model.merges) == 150
     assert model.merges == oracle.merges
     assert model.subword_vocab == oracle.subword_vocab
@@ -227,7 +220,7 @@ def test_learn_matches_recount_oracle_tie_heavy_zipfian():
     rng.shuffle(types)
     words = {word: 1 + 24 // rank for rank, word in enumerate(types, start=1)}
     model = learn_bpe(words, 200)
-    oracle = oracle_learn_bpe(words, 200, "</w>", "@@")
+    oracle = oracle_learn_bpe(words, 200)
     assert len(model.merges) == 200
     assert model.merges == oracle.merges
     assert model.subword_vocab == oracle.subword_vocab
@@ -290,16 +283,16 @@ class TestModelFile:
         again = load_bpe_model(path)
         assert again.merges == model.merges
         assert again.subword_vocab == model.subword_vocab
-        assert again.eow_marker == model.eow_marker
-        assert again.join_marker == model.join_marker
 
-    def test_golden_merges(self):
+    def test_golden_merges(self, tmp_path):
         # frozen merge list: regression against the committed learning corpus
         lines = [l.split() for l in (DATA / "bpe_corpus.txt").read_text().splitlines()]
         model = learn_bpe(word_frequencies(lines), 40)
         golden = load_bpe_model(DATA / "golden_bpe.model")
         assert model.merges == golden.merges
         assert model.subword_vocab == golden.subword_vocab
+        save_bpe_model(model, tmp_path / "codes.bpe")
+        assert (tmp_path / "codes.bpe").read_bytes() == (DATA / "golden_bpe.model").read_bytes()
 
 
 def test_word_frequencies_skips_protected():
