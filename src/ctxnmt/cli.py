@@ -33,6 +33,7 @@ from .corpus import (
     extend_corpus,
     generate_synthetic_corpus,
     open_output,
+    read_doc_ids,
     read_extended_corpus,
     read_meta,
     read_parallel_corpus,
@@ -298,6 +299,8 @@ def cmd_translate(args, config, manifest):
 
 
 def cmd_score(args, config, manifest):
+    if args.window < 1:
+        raise ConfigError("--window must be >= 1, got %d" % args.window)
     hyp = _read_lines(args.hyp)
     ref = _read_lines(args.ref)
     if args.segment_mode != "none":
@@ -305,10 +308,13 @@ def cmd_score(args, config, manifest):
     if args.regime == "extended":
         if not args.docs:
             raise ConfigError("--docs is required for the extended scoring regime")
-        doc_ids = [line.strip() for line in read_text(args.docs).splitlines()]
+        doc_ids = read_doc_ids(args.docs)
+        if len(doc_ids) != len(hyp):
+            raise MalformedCorpusError("%d doc ids for %d hypothesis lines" % (len(doc_ids), len(hyp)), path=args.docs)
         b, c = metrics.score_extended(hyp, ref, doc_ids, window=args.window, break_token=config.context.break_token)
     else:
         b, c = metrics.bleu(hyp, ref), metrics.chrf(hyp, ref)
+    manifest.counters = {"segments": len(hyp), "hyp_tokens": b.hyp_length, "ref_tokens": b.ref_length}
     report = metrics.format_score_report([(args.name, b, c)])
     if args.report:
         for path in (args.hyp, args.ref, args.docs if args.regime == "extended" else None):

@@ -243,11 +243,21 @@ def open_output(path, mode="w"):
         raise
 
 
+def read_doc_ids(path) -> list[str]:
+    """The document id of each line, stripped; a blank line is a
+    MalformedCorpusError naming path:line."""
+    doc_ids = [line.strip() for line in read_text(path).splitlines()]
+    for lineno, doc_id in enumerate(doc_ids, start=1):
+        if not doc_id:
+            raise MalformedCorpusError("empty doc_id", path=path, line=lineno)
+    return doc_ids
+
+
 def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]:
     """Load an aligned corpus from its three files."""
     src_lines = read_text(src_path).splitlines()
     trg_lines = read_text(trg_path).splitlines()
-    doc_lines = read_text(docs_path).splitlines()
+    doc_lines = read_doc_ids(docs_path)
     if not (len(src_lines) == len(trg_lines) == len(doc_lines)):
         raise MalformedCorpusError(
             "line counts differ: %d source, %d target, %d docs"
@@ -258,9 +268,6 @@ def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]
     prev_doc = None
     index = 0
     for lineno, (src, trg, doc_id) in enumerate(zip(src_lines, trg_lines, doc_lines), start=1):
-        if not doc_id.strip():
-            raise MalformedCorpusError("empty doc_id", path=docs_path, line=lineno)
-        doc_id = doc_id.strip()
         if doc_id != prev_doc:
             index = 0
             prev_doc = doc_id

@@ -11,19 +11,27 @@ spaces (spaces participate in n-grams), n = 1..6, uniform average over
 orders, with recall weighted by beta = 3 (chrF3).  Neither metric takes
 other orders or weights.
 
-Both metrics count n-grams in one numpy pass over a chunk of segment pairs
-(`_clipped_ngram_totals`): symbols are word ids for BLEU and code points for
-chrF; the id of an n-gram is the dense rank of (its (n-1)-gram prefix id, its
-last symbol); (segment, n-gram) keys are counted per side and the clipped
-matches are the minimum of the two counts of each shared key.  Scoring the
-1,000 `prep-analyze` lines in both regimes (`score`, 2,000 segments) takes
-about 0.35 s on a 2-vCPU Intel Xeon, against about 2.3 s with per-segment
-Counters."""
+Both metrics count n-grams with numpy over one symbol stream
+(`_clipped_ngram_totals`): word ids for BLEU, dense code-point ranks for
+chrF, the hypothesis and reference segments of each pair side by side.  The
+stream is cut into chunks of whole pairs.  In a chunk the id of an n-gram is
+polynomial, id_n = id_(n-1) x alphabet + last symbol, and its key is
+(id x pairs + pair) x 2 + side.  One sort of the keys per order places the
+hypothesis run of each (pair, n-gram) right before its reference run, and
+the clipped matches are the shorter of the two runs.  The n-gram totals of
+each side are counts of in-segment positions and need no sort.  An order
+whose keys could reach 2^62 first re-ranks the (n-1)-gram ids densely, so
+every total is an exact integer.  In the `prep-analyze` benchmark, scoring
+1,000 lines in both regimes (`score`, 2,000 segments) takes a median of
+0.14 s on a 2-vCPU Intel Xeon, against 0.44 s when each order made three
+`np.unique` calls and one `intersect1d` per chunk."""
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,79 +65,99 @@ class ChrFScore:
 
 # Segment pairs are counted a chunk at a time, each chunk holding about this
 # many symbols of both sides together, so that the key arrays stay under a
-# megabyte whatever the corpus size (unchunked, scoring the 2,000 extended
-# `prep-analyze` segments had a tracemalloc peak of about 45 MB).
+# megabyte whatever the corpus size (scoring the 2,000 extended
+# `prep-analyze` segments has a tracemalloc peak of about 4.7 MB; unchunked,
+# about 29 MB).
 _CHUNK_SYMBOLS = 8192
 
+# Every n-gram key stays below this, so no int64 product can wrap.
+_KEY_LIMIT = 2**62
 
-def _clipped_ngram_totals(
-    hypotheses: list[np.ndarray], references: list[np.ndarray], max_n: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Corpus totals of hypothesis n-grams, reference n-grams and clipped
-    matches, each a list over the orders n = 1..max_n.
 
-    `hypotheses` and `references` are aligned integer symbol arrays (lists
-    of different lengths are an InputError); an n-gram of a hypothesis
-    segment matches at most as often as it occurs in the aligned reference
-    segment.
-    """
+def _interleave(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> list[TokenSeq]:
+    """The segments in stream order: hypothesis 0, reference 0, hypothesis 1,
+    ...; lists of different lengths are an InputError."""
     if len(hypotheses) != len(references):
         raise InputError(
             "hypothesis/reference length mismatch: %d vs %d" % (len(hypotheses), len(references))
         )
-    totals = ([0] * max_n, [0] * max_n, [0] * max_n)
-    start = 0
-    while start < len(hypotheses):
-        stop = start + 1
-        size = len(hypotheses[start]) + len(references[start])
-        while stop < len(hypotheses) and size + len(hypotheses[stop]) + len(references[stop]) <= _CHUNK_SYMBOLS:
-            size += len(hypotheses[stop]) + len(references[stop])
-            stop += 1
-        _count_chunk(hypotheses[start:stop] + references[start:stop], stop - start, *totals)
-        start = stop
-    return totals
+    return [segment for pair in zip(hypotheses, references) for segment in pair]
 
 
-def _count_chunk(
-    streams: list[np.ndarray], pairs: int, hyp_totals: list[int], ref_totals: list[int], matches: list[int]
-) -> None:
-    """Add one chunk's counts to the per-order totals; `streams` holds the
-    chunk's `pairs` hypothesis segments followed by their references."""
-    lengths = np.array([len(s) for s in streams], dtype=np.int64)
-    symbols = np.concatenate(streams).astype(np.int64)
-    stream_ends = np.repeat(np.cumsum(lengths), lengths)
-    pair_index = np.repeat(np.arange(2 * pairs) % pairs, lengths)
-    from_hyp = np.repeat(np.arange(2 * pairs) < pairs, lengths)
-    positions = np.arange(len(symbols))
-    alphabet, rank = np.unique(symbols, return_inverse=True)
-    ids = rank
+def _clipped_ngram_totals(
+    symbols: np.ndarray, lengths: np.ndarray, alphabet: int, max_n: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Corpus totals of hypothesis n-grams, reference n-grams and clipped
+    matches, each a list over the orders n = 1..max_n.
+
+    `symbols` is the integer stream of all segments in `_interleave` order,
+    each symbol a rank in [0, alphabet), and `lengths` the segment lengths in
+    the same order.  An n-gram of a hypothesis segment matches at most as often
+    as it occurs in the reference segment of its pair.
+    """
+    hyp_lengths, ref_lengths = lengths[0::2], lengths[1::2]
+    orders = range(max_n)
+    hyp_totals = [int(np.maximum(hyp_lengths - k, 0).sum()) for k in orders]
+    ref_totals = [int(np.maximum(ref_lengths - k, 0).sum()) for k in orders]
+    matches = [0] * max_n
+    # a pair takes one symbol more than it holds, so that empty pairs too
+    # fill a chunk and the segment count of a chunk stays bounded
+    pair_ends = np.cumsum(hyp_lengths + ref_lengths + 1)
+    segment_ends = np.cumsum(lengths)
+    start = first = 0
+    while start < len(pair_ends):
+        filled = pair_ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(pair_ends, filled + _CHUNK_SYMBOLS, "right")), start + 1)
+        last = int(segment_ends[2 * stop - 1])
+        _count_chunk(symbols[first:last], lengths[2 * start : 2 * stop], alphabet, matches)
+        start, first = stop, last
+    return hyp_totals, ref_totals, matches
+
+
+def _count_chunk(symbols: np.ndarray, lengths: np.ndarray, alphabet: int, matches: list[int]) -> None:
+    """Add one chunk's clipped matches to the per-order `matches`; `symbols`
+    and `lengths` are the chunk's slices of the stream and of its lengths.
+    As the segments alternate, id x segments + segment is the key
+    (id x pairs + pair) x 2 + side of the module docstring."""
+    symbols = symbols.astype(np.int64)
+    segments = len(lengths)
+    segment_of = np.repeat(np.arange(segments), lengths)
+    # symbols from each position to the end of its segment: an n-gram starts there when n <= left
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(symbols))
+    ids, bound = symbols, alphabet
     for n in range(1, len(matches) + 1):
         if n > 1:
-            # n-gram at i = ((n-1)-gram at i, symbol at i+n-1); dense ranks keep ids below len(symbols)
-            _, ids = np.unique(ids[:-1] * len(alphabet) + rank[n - 1 :], return_inverse=True)
+            if bound * alphabet * segments > _KEY_LIMIT:
+                # keys could reach the limit: re-rank the (n-1)-gram ids densely
+                # first, after which the keys stay below chunk symbols x
+                # alphabet x segments (at most 2 x _CHUNK_SYMBOLS segments)
+                distinct, ids = np.unique(ids, return_inverse=True)
+                bound = len(distinct)
+            ids = ids[:-1] * alphabet + symbols[n - 1 :]
+            bound *= alphabet
         m = len(ids)
-        inside = positions[:m] + n <= stream_ends[:m]
-        keys = pair_index[:m] * m + ids
-        hyp_keys, hyp_counts = np.unique(keys[inside & from_hyp[:m]], return_counts=True)
-        ref_keys, ref_counts = np.unique(keys[inside & ~from_hyp[:m]], return_counts=True)
-        _, hi, ri = np.intersect1d(hyp_keys, ref_keys, assume_unique=True, return_indices=True)
-        hyp_totals[n - 1] += int(hyp_counts.sum())
-        ref_totals[n - 1] += int(ref_counts.sum())
-        matches[n - 1] += int(np.minimum(hyp_counts[hi], ref_counts[ri]).sum())
+        keys = (ids * segments + segment_of[:m])[left[:m] >= n]
+        if len(keys) < 2:
+            break  # no order from here on has two n-grams to match
+        keys.sort()
+        run_bounds = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+        run_keys = keys[run_bounds[:-1]]
+        run_lengths = np.diff(run_bounds)
+        shared = run_keys[:-1] == run_keys[1:] ^ 1
+        matches[n - 1] += int((np.minimum(run_lengths[:-1], run_lengths[1:]) * shared).sum())
 
 
 def bleu(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> BleuScore:
     """Corpus-level BLEU-4 over tokenized hypothesis/reference lists."""
-    word_ids: dict[str, int] = {}
-
-    def to_ids(tokens: TokenSeq) -> np.ndarray:
-        return np.array([word_ids.setdefault(t, len(word_ids)) for t in tokens], dtype=np.int64)
-
-    totals, _, matches = _clipped_ngram_totals(
-        [to_ids(h) for h in hypotheses], [to_ids(r) for r in references], BLEU_MAX_ORDER
+    segments = _interleave(hypotheses, references)
+    lengths = np.fromiter(map(len, segments), dtype=np.int64, count=len(segments))
+    word_ids: defaultdict[str, int] = defaultdict(count().__next__)
+    symbols = np.fromiter(
+        map(word_ids.__getitem__, chain.from_iterable(segments)), dtype=np.int32, count=int(lengths.sum())
     )
-    hyp_len = sum(len(hyp) for hyp in hypotheses)
-    ref_len = sum(len(ref) for ref in references)
+    totals, _, matches = _clipped_ngram_totals(symbols, lengths, len(word_ids), BLEU_MAX_ORDER)
+    hyp_len = int(lengths[0::2].sum())
+    ref_len = int(lengths[1::2].sum())
 
     precisions = tuple(
         (matches[i] / totals[i]) if totals[i] > 0 else 0.0 for i in range(BLEU_MAX_ORDER)
@@ -144,15 +172,18 @@ def bleu(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> Bleu
     return BleuScore(bp * math.exp(log_mean), precisions, bp, hyp_len, ref_len)
 
 
-def _code_points(tokens: TokenSeq) -> np.ndarray:
-    """The character stream of a segment (tokens joined by single spaces)."""
-    return np.frombuffer(" ".join(tokens).encode("utf-32-le"), dtype=np.uint32)
-
-
 def chrf(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> ChrFScore:
     """chrF3: character 6-gram F-score with recall weighted 3 times precision."""
+    # each segment's character stream is its tokens joined by single spaces
+    texts = [" ".join(segment) for segment in _interleave(hypotheses, references)]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    code_points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
+    # dense ranks through a table over the code points up to the largest one
+    present = np.zeros(int(code_points.max(initial=0)) + 1, dtype=bool)
+    present[code_points] = True
+    ranks = np.cumsum(present, dtype=np.int32) - 1
     hyp_totals, ref_totals, match_totals = _clipped_ngram_totals(
-        [_code_points(h) for h in hypotheses], [_code_points(r) for r in references], CHRF_MAX_N
+        ranks[code_points], lengths, int(ranks[-1]) + 1, CHRF_MAX_N
     )
 
     prec_terms = [match_totals[i] / hyp_totals[i] for i in range(CHRF_MAX_N) if hyp_totals[i] > 0]
@@ -182,24 +213,21 @@ def score_extended(
     if window < 1:
         raise ConfigError("window must be >= 1, got %d" % window)
     if not (len(hyp_units) == len(ref_units) == len(doc_ids)):
-        raise InputError("unit lists and doc ids must be aligned")
-
-    def strip_breaks(tokens: TokenSeq) -> list[str]:
-        return [t for t in tokens if t != break_token]
-
+        raise InputError(
+            "unit lists and doc ids must be aligned: %d hypothesis units, %d reference units, %d doc ids"
+            % (len(hyp_units), len(ref_units), len(doc_ids))
+        )
+    hyp_kept = [[t for t in tokens if t != break_token] for tokens in hyp_units]
+    ref_kept = [[t for t in tokens if t != break_token] for tokens in ref_units]
     hyp_segments = []
     ref_segments = []
-    for i in range(len(hyp_units)):
-        lo = i
-        while lo > 0 and i - lo < window - 1 and doc_ids[lo - 1] == doc_ids[i]:
-            lo -= 1
-        hyp_cat: list[str] = []
-        ref_cat: list[str] = []
-        for j in range(lo, i + 1):
-            hyp_cat.extend(strip_breaks(hyp_units[j]))
-            ref_cat.extend(strip_breaks(ref_units[j]))
-        hyp_segments.append(hyp_cat)
-        ref_segments.append(ref_cat)
+    doc_start = 0
+    for i in range(len(doc_ids)):
+        if i and doc_ids[i] != doc_ids[i - 1]:
+            doc_start = i
+        lo = max(doc_start, i - window + 1)
+        hyp_segments.append(list(chain.from_iterable(hyp_kept[lo : i + 1])))
+        ref_segments.append(list(chain.from_iterable(ref_kept[lo : i + 1])))
     return bleu(hyp_segments, ref_segments), chrf(hyp_segments, ref_segments)
 
 

@@ -272,6 +272,41 @@ class TestCli:
         manifest = json.loads(report.with_suffix(".manifest.json").read_text())
         assert manifest["status"] == "ok" and list(manifest["input_checksums"]) == [str(DATA / "mini.trg")]
 
+    def test_score_window_below_one_is_config_error_in_plain_regime(self):
+        for window in ("0", "-1"):
+            assert main(["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
+                         "--window", window]) == 2
+
+    def test_score_blank_doc_id_is_data_error(self, tmp_path, capsys):
+        docs = tmp_path / "score.docs"
+        docs.write_text("m1\nm1\n\nm1\n")
+        assert main(["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
+                     "--docs", str(docs), "--regime", "extended"]) == 3
+        assert "%s:3" % docs in capsys.readouterr().err
+
+    def test_score_doc_count_mismatch_names_counts_and_path(self, tmp_path, capsys):
+        docs = tmp_path / "score.docs"
+        docs.write_text("m1\nm1\nm1\n")
+        assert main(["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
+                     "--docs", str(docs), "--regime", "extended"]) == 3
+        err = capsys.readouterr().err
+        assert "3 doc ids for 4 hypothesis lines" in err and str(docs) in err
+
+    def test_score_manifest_counts_segments_and_tokens(self, tmp_path):
+        (tmp_path / "hyp.txt").write_text("a b c\n_BREAK_ d\n\ne f\n")
+        (tmp_path / "ref.txt").write_text("a b\nd\nx\ne f g\n")
+        (tmp_path / "score.docs").write_text("m1\nm1\nm2\nm2\n")
+        counters = {}
+        for regime in ("plain", "extended"):
+            report = tmp_path / ("score-%s.tsv" % regime)
+            assert main(["score", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt"),
+                         "--docs", str(tmp_path / "score.docs"), "--regime", regime, "--report", str(report)]) == 0
+            counters[regime] = json.loads(report.with_suffix(".manifest.json").read_text())["counters"]
+        assert counters["plain"] == {"segments": 4, "hyp_tokens": 7, "ref_tokens": 7}
+        # windows of two within each document, break tokens removed:
+        # (a b c), (a b c d), (), (e f) against (a b), (a b d), (x), (x e f g)
+        assert counters["extended"] == {"segments": 4, "hyp_tokens": 9, "ref_tokens": 10}
+
     def test_config_error_exit_code(self, tmp_path):
         assert main(["prepare", "--config", str(tmp_path / "none.ini"), "--mode", "2+2"]) == 2
 

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxnmt import metrics
@@ -157,6 +157,70 @@ def test_counts_match_oracles(chunk_symbols, pairs):
     assert b.score == pytest.approx(oracle_bleu(hyps, refs), abs=1e-12)
     expected = [match / total if total else 0.0 for match, total in oracle_bleu_counts(hyps, refs)]
     assert b.precisions == pytest.approx(expected, abs=1e-12)
+
+
+def test_wide_alphabet_chrf_matches_oracle():
+    # 2,048 = 2**11 code points make the polynomial 6-gram ids reach 2**66;
+    # wrapped to int64, the keys of the hypothesis 6-gram (c0, c9, c7, c5, c3, c1)
+    # and the reference 6-gram that starts with c256 instead would coincide
+    chars = [chr(0x4E00 + k) for k in range(2048)]
+    tail = [chars[k] for k in (9, 7, 5, 3, 1)]
+    hyp = ["".join([chars[0]] + tail + chars[1000:1020])]
+    ref = ["".join(chars + [chars[256]] + tail)]
+    result = chrf([hyp], [ref])
+    score, precision, recall = oracle_chrf([hyp], [ref])
+    assert (result.score, result.precision, result.recall) == pytest.approx((score, precision, recall), abs=1e-12)
+    assert result.precision < 1.0
+
+
+def test_wide_vocabulary_bleu_matches_oracle():
+    # 65,536 = 2**16 distinct words make the polynomial 4-gram ids reach 2**64;
+    # wrapped to int64, the keys of the hypothesis 4-gram (w0, w1, w2, w3) and
+    # the reference 4-gram that starts with w32768 instead would coincide
+    words = ["w%d" % k for k in range(2**16)]
+    hyp = words[:10]
+    ref = words[4:] + [words[32768]] + words[1:4]
+    result = bleu([hyp], [ref])
+    assert result.score == pytest.approx(oracle_bleu([hyp], [ref]), abs=1e-12)
+    expected = [match / total for match, total in oracle_bleu_counts([hyp], [ref])]
+    assert result.precisions == pytest.approx(expected, abs=1e-12)
+    assert result.precisions[3] == 3 / 7  # (w4..w7), (w5..w8), (w6..w9)
+
+
+def brute_force_windows(units, doc_ids, window):
+    """Each unit with up to window - 1 units before it that share its document
+    without a boundary in between, concatenated, break tokens removed."""
+    segments = []
+    for i in range(len(units)):
+        segment = []
+        for j in range(max(0, i - window + 1), i + 1):
+            if all(doc_ids[k] == doc_ids[i] for k in range(j, i + 1)):
+                segment += [t for t in units[j] if t != "_BREAK_"]
+        segments.append(segment)
+    return segments
+
+
+extended_unit_st = st.lists(st.sampled_from(["a", "b", "ab", "\u00e9", "_BREAK_"]), max_size=4)
+extended_units_st = st.lists(
+    st.tuples(extended_unit_st, extended_unit_st, st.sampled_from(["d1", "d2", "d3"])), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(units=extended_units_st, window=st.integers(1, 3))
+@example(units=[(["_BREAK_"], ["a"], "d1"), ([], ["_BREAK_", "_BREAK_"], "d1"), (["a", "b"], ["a", "b"], "d1")],
+         window=2)
+@example(units=[(["a", "b"], ["a", "b"], "d1"), (["a"], ["a"], "d2"), (["b"], ["b"], "d1")], window=3)
+def test_score_extended_matches_oracles(units, window):
+    hyp_units = [hyp for hyp, _, _ in units]
+    ref_units = [ref for _, ref, _ in units]
+    doc_ids = [doc for _, _, doc in units]
+    hyps = brute_force_windows(hyp_units, doc_ids, window)
+    refs = brute_force_windows(ref_units, doc_ids, window)
+    b, c = score_extended(hyp_units, ref_units, doc_ids, window=window)
+    assert (b.hyp_length, b.ref_length) == (sum(map(len, hyps)), sum(map(len, refs)))
+    assert b.score == pytest.approx(oracle_bleu(hyps, refs), abs=1e-12)
+    assert (c.score, c.precision, c.recall) == pytest.approx(oracle_chrf(hyps, refs), abs=1e-12)
 
 
 def test_score_reports_are_frozen(tmp_path, capsys):
