@@ -17,19 +17,21 @@ failure, 130 interrupted (Ctrl-C), 1 unexpected error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
 
 from . import __version__
 from . import attnstats as astats
 from . import metrics
-from .config import SECTIONS, RunConfig, load_config, section_fields, start_manifest
+from .config import SECTIONS, AnalysisConfig, RunConfig, load_config, section_fields, start_manifest
 from .corpus import (
     ContextConfig,
     Marking,
+    SynthSpec,
     extend_corpus,
     generate_synthetic_corpus,
     open_output,
@@ -44,6 +46,7 @@ from .corpus import (
 )
 from .decode import (
     AttentionExport,
+    BeamConfig,
     as_ensemble,
     beam_decode,
     extract_scored_segment,
@@ -62,13 +65,14 @@ from .errors import (
 )
 from .model import (
     UNK_ID,
+    HyperParams,
     Vocabulary,
     init_params,
     load_checkpoint,
     save_checkpoint,
     train,
 )
-from .subword import apply_bpe_line, learn_bpe, load_bpe_model, protection, save_bpe_model, word_frequencies
+from .subword import BpeConfig, apply_bpe_line, learn_bpe, load_bpe_model, protection, save_bpe_model, word_frequencies
 
 # The most tokens a training vocabulary keeps, reserved tokens included.
 _VOCAB_CAP = 60000
@@ -241,18 +245,7 @@ def cmd_translate(args, config, manifest):
             what = "%d source tokens exceed max_source_len %d" % (len(tokens), limit) if tokens else "empty source"
             raise MalformedCorpusError(what, path=args.source, line=lineno)
 
-    if args.meta:
-        meta = read_meta(args.meta)
-        if len(meta) != len(src_lines):
-            raise MalformedCorpusError("meta file does not align with source", path=args.meta)
-        for lineno, (tokens, row) in enumerate(zip(src_lines, meta), start=1):
-            if row[2] > len(tokens):
-                raise MalformedCorpusError(
-                    "source_focus_start %d beyond the %d source tokens" % (row[2], len(tokens)),
-                    path=args.meta, line=lineno,
-                )
-    else:
-        meta = [("", i, 0, 0) for i in range(len(src_lines))]
+    meta = read_meta(args.meta, src_lines) if args.meta else [("", i, 0, 0) for i in range(len(src_lines))]
     for p in [args.source, args.meta] + list(args.checkpoint):
         manifest.add_input(p)
 
@@ -429,10 +422,11 @@ def cmd_pronoun_eval(args, config, manifest):
 def cmd_heatmap(args, config, manifest):
     exports = read_attention_records(args.attn)
     manifest.add_input(args.attn)
-    by_index = {e.index: e for e in exports}
-    if args.index not in by_index:
-        raise InputError("record index %d not present in %s" % (args.index, args.attn))
-    export = by_index[args.index]
+    matches = [e for e in exports if e.index == args.index]
+    if len(matches) != 1:
+        where = "appears on %d records of" % len(matches) if matches else "not present in"
+        raise InputError("record index %d %s %s" % (args.index, where, args.attn))
+    export = matches[0]
     out = Path(config.out_dir)
     written = [out / ("heatmap-%04d.tsv" % args.index)]
     _write(written[0], astats.heatmap_tsv(export), manifest)
@@ -446,25 +440,40 @@ def cmd_heatmap(args, config, manifest):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# Three config fields keep short flags; every other config flag is its field
+# name with dashes.
+_SHORT_FLAGS = {"length_norm_alpha": "--alpha", "coverage_beta": "--beta", "majority_use_mass": "--use-mass"}
+
+
+def _add_config_flags(p, section, *names):
+    """One flag per INI key of the config class `section` (or per field in
+    `names`), typed by the field's default; a bool flag sets True."""
+    defaults = {f.name: f.default for f in fields(section)}
+    for name in names or section_fields(section):
+        flag = _SHORT_FLAGS.get(name, "--" + name.replace("_", "-"))
+        if isinstance(defaults[name], bool):
+            p.add_argument(flag, dest=name, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=name, type=type(defaults[name]))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="ctxnmt", description=__doc__)
     parser.add_argument("--version", action="version", version="ctxnmt %s (checkpoint v1, bpe v1)" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="run configuration file (INI)")
+    common.add_argument("--seed", type=int, help="master rng seed (overrides config)")
+    common.add_argument("--out", help="output directory (overrides config)")
 
-    def common(p):
-        p.add_argument("--config", help="run configuration file (INI)")
-        p.add_argument("--seed", type=int, help="master rng seed (overrides config)")
-        p.add_argument("--out", help="output directory (overrides config)")
-
-    p = sub.add_parser("synth", help="generate the synthetic pronoun corpus")
-    common(p)
-    p.add_argument("--num-docs", type=int)
-    p.add_argument("--units-per-doc", type=int)
+    p = sub.add_parser("synth", parents=[common], help="generate the synthetic pronoun corpus")
+    _add_config_flags(p, SynthSpec)
     p.add_argument("--prefix", default="synth")
     p.set_defaults(func=cmd_synth, manifest_path=_in_out_dir("manifest-synth.json"))
 
-    p = sub.add_parser("prepare", help="build context-extended training data")
-    common(p)
+    p = sub.add_parser("prepare", parents=[common], help="build context-extended training data")
     p.add_argument("--source")
     p.add_argument("--target")
     p.add_argument("--docs")
@@ -472,53 +481,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="extended")
     p.set_defaults(func=cmd_prepare, manifest_path=_in_out_dir("manifest-prepare.json"))
 
-    p = sub.add_parser("bpe-learn", help="learn BPE merge operations")
-    common(p)
+    p = sub.add_parser("bpe-learn", parents=[common], help="learn BPE merge operations")
     p.add_argument("--input", nargs="+", required=True, help="token files (several = joint codes)")
-    p.add_argument("--num-merges", type=int)
+    _add_config_flags(p, BpeConfig, "num_merges")
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=cmd_bpe_learn, manifest_path=lambda args, config: _beside(args.out_model))
 
-    p = sub.add_parser("bpe-apply", help="apply a BPE model to a token file")
-    common(p)
+    p = sub.add_parser("bpe-apply", parents=[common], help="apply a BPE model to a token file")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--vocab-threshold", type=int)
+    _add_config_flags(p, BpeConfig, "vocab_threshold")
     p.set_defaults(func=cmd_bpe_apply, manifest_path=lambda args, config: _beside(args.output))
 
-    p = sub.add_parser("train", help="train the encoder-decoder")
-    common(p)
+    p = sub.add_parser("train", parents=[common], help="train the encoder-decoder")
     p.add_argument("--source")
     p.add_argument("--target")
     p.add_argument("--docs")
     p.add_argument("--meta")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--attention-dim", dest="attention_dim", type=int)
-    p.add_argument("--max-source-len", dest="max_source_len", type=int)
-    p.add_argument("--max-target-len", dest="max_target_len", type=int)
+    _add_config_flags(p, HyperParams)
     p.add_argument("--savepoints", type=int, default=4)
     p.set_defaults(func=cmd_train, manifest_path=_in_out_dir("manifest-train.json"))
 
-    p = sub.add_parser("translate", help="decode a source file with checkpoints (ensemble)")
-    common(p)
+    p = sub.add_parser("translate", parents=[common], help="decode a source file with checkpoints (ensemble)")
     p.add_argument("--checkpoint", action="append", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--meta")
     p.add_argument("--prefix", default="hyp")
-    p.add_argument("--beam-size", dest="beam_size", type=int)
-    p.add_argument("--alpha", dest="length_norm_alpha", type=float)
-    p.add_argument("--beta", dest="coverage_beta", type=float)
-    p.add_argument("--max-len-factor", dest="max_len_factor", type=float)
-    p.add_argument("--max-len-constant", dest="max_len_constant", type=int)
+    _add_config_flags(p, BeamConfig)
     p.set_defaults(func=cmd_translate, manifest_path=_in_out_dir("manifest-translate-%(prefix)s.json"))
 
-    p = sub.add_parser("score", help="BLEU/chrF3 scoring")
-    common(p)
+    p = sub.add_parser("score", parents=[common], help="BLEU/chrF3 scoring")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--docs")
@@ -531,18 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score, manifest_path=lambda args, config: (
         Path(args.report).with_suffix(".manifest.json") if args.report else None))
 
-    p = sub.add_parser("attn-stats", help="attention statistics tables")
-    common(p)
+    p = sub.add_parser("attn-stats", parents=[common], help="attention statistics tables")
     p.add_argument("--attn", required=True)
-    p.add_argument("--model-kind", dest="model_kind", choices=["2+1", "2+2"])
-    p.add_argument("--min-freq", dest="min_freq", type=int)
-    p.add_argument("--min-cases", dest="min_cases", type=int)
-    p.add_argument("--use-mass", dest="majority_use_mass", action="store_const", const=True)
+    _add_config_flags(p, AnalysisConfig)
     p.add_argument("--prefix", default="attn")
     p.set_defaults(func=cmd_attn_stats, manifest_path=_in_out_dir("manifest-attn-stats-%(prefix)s.json"))
 
-    p = sub.add_parser("pronoun-eval", help="pronoun category accuracy report")
-    common(p)
+    p = sub.add_parser("pronoun-eval", parents=[common], help="pronoun category accuracy report")
     p.add_argument("--source", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--system", action="append", required=True, help="name=path (repeatable)")
@@ -553,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="eval")
     p.set_defaults(func=cmd_pronoun_eval, manifest_path=_in_out_dir("manifest-pronoun-%(prefix)s.json"))
 
-    p = sub.add_parser("heatmap", help="export one attention heatmap (TSV + PGM)")
-    common(p)
+    p = sub.add_parser("heatmap", parents=[common], help="export one attention heatmap (TSV + PGM)")
     p.add_argument("--attn", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--no-image", dest="image", action="store_false", help="skip the PGM image")

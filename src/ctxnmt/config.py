@@ -2,7 +2,8 @@
 
 The config dataclasses' fields are the only schema: the INI keys of a section
 are the scalar fields of its dataclass, so the file round-trips losslessly
-through save/load and an unknown section or key is a ConfigError.  Every
+through save/load and an unknown section or key is a ConfigError; cli.py
+generates its config flags from the same fields.  Every
 experiment writes a manifest (the effective config, input checksums, toolkit
 version, checkpoints, timestamps) sufficient to re-execute the run.
 """
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
+from .attnstats import MODEL_ONE_SIDED, MODEL_TWO_SIDED
 from .corpus import ContextConfig, SynthSpec, open_output, read_text
 from .decode import BeamConfig
 from .errors import ConfigError
@@ -30,11 +32,11 @@ class AnalysisConfig:
     min_freq: int = 5
     min_cases: int = 5
     majority_use_mass: bool = False
-    model_kind: str = "2+1"
+    model_kind: str = MODEL_ONE_SIDED
 
     def __post_init__(self):
-        if self.model_kind not in ("2+1", "2+2"):
-            raise ConfigError("model_kind must be '2+1' or '2+2'")
+        if self.model_kind not in (MODEL_ONE_SIDED, MODEL_TWO_SIDED):
+            raise ConfigError("model_kind must be %r or %r" % (MODEL_ONE_SIDED, MODEL_TWO_SIDED))
 
 
 @dataclass(frozen=True)

@@ -317,38 +317,31 @@ def write_extended_corpus(examples: Iterable[ExtendedExample], src_path, trg_pat
 
 def read_extended_corpus(src_path, trg_path, meta_path) -> list[ExtendedExample]:
     """Load extended examples written by write_extended_corpus."""
-    src_lines = read_text(src_path).splitlines()
-    trg_lines = read_text(trg_path).splitlines()
-    meta_rows = read_meta(meta_path)
-    if not (len(src_lines) == len(trg_lines) == len(meta_rows)):
-        raise MalformedCorpusError(
-            "line counts differ between corpus and meta files", path=meta_path
-        )
+    sources = [tuple(line.split()) for line in read_text(src_path).splitlines()]
+    targets = [tuple(line.split()) for line in read_text(trg_path).splitlines()]
+    if len(targets) != len(sources):
+        raise MalformedCorpusError("%d target lines for %d source lines" % (len(targets), len(sources)), path=trg_path)
+    rows = read_meta(meta_path, sources)
     examples = []
-    for lineno, (src, trg, (doc_id, idx, src_start, trg_start)) in enumerate(
-        zip(src_lines, trg_lines, meta_rows), start=1
-    ):
-        src_tokens = tuple(src.split())
-        trg_tokens = tuple(trg.split())
-        if src_start > len(src_tokens) or trg_start > len(trg_tokens):
-            raise MalformedCorpusError("focus offset beyond segment end", path=meta_path, line=lineno)
-        examples.append(
-            ExtendedExample(
-                source_tokens=src_tokens,
-                target_tokens=trg_tokens,
-                source_focus_start=src_start,
-                target_focus_start=trg_start,
-                origin=(doc_id, idx),
+    for lineno, (src, trg, (doc_id, idx, src_start, trg_start)) in enumerate(zip(sources, targets, rows), start=1):
+        if trg_start > len(trg):
+            raise MalformedCorpusError(
+                "target_focus_start %d beyond the %d target tokens" % (trg_start, len(trg)), path=meta_path, line=lineno
             )
-        )
+        examples.append(ExtendedExample(src, trg, src_start, trg_start, origin=(doc_id, idx)))
     return examples
 
 
-def read_meta(path) -> list[tuple[str, int, int, int]]:
-    """Parse a .meta file: per line, document id, index in the document, and
-    the source and target focus offsets, tab-separated."""
+def read_meta(path, sources: Sequence[Sequence[str]]) -> list[tuple[str, int, int, int]]:
+    """Parse the .meta file of the tokenized `sources`: per line, document id,
+    index in the document, and the source and target focus offsets,
+    tab-separated.  There is one row per source line, and each source focus
+    offset lies within its line."""
+    lines = read_text(path).splitlines()
+    if len(lines) != len(sources):
+        raise MalformedCorpusError("%d meta rows for %d source lines" % (len(lines), len(sources)), path=path)
     rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, (line, tokens) in enumerate(zip(lines, sources), start=1):
         parts = line.split("\t")
         if len(parts) != 4:
             raise MalformedCorpusError("expected 4 meta columns", path=path, line=lineno)
@@ -358,6 +351,10 @@ def read_meta(path) -> list[tuple[str, int, int, int]]:
             raise MalformedCorpusError("non-integer meta field", path=path, line=lineno) from None
         if min(numbers) < 0:
             raise MalformedCorpusError("negative meta field", path=path, line=lineno)
+        if numbers[1] > len(tokens):
+            raise MalformedCorpusError(
+                "source_focus_start %d beyond the %d source tokens" % (numbers[1], len(tokens)), path=path, line=lineno
+            )
         rows.append((parts[0], *numbers))
     return rows
 

@@ -321,7 +321,9 @@ def write_attention_records(path, exports: Sequence[AttentionExport]):
 
 def read_attention_records(path) -> list[AttentionExport]:
     """Records of a JSONL attention file; any line that is not a complete,
-    consistent record raises MalformedRecordError naming path:line."""
+    consistent record raises MalformedRecordError naming path:line.  Indices
+    and offsets are integers >= 0, the doc id a string and the break token
+    one whitespace-free token."""
     exports = []
     for lineno, line in enumerate(read_text(path, MalformedRecordError).splitlines(), start=1):
         if not line.strip():
@@ -345,6 +347,14 @@ def read_attention_records(path) -> list[AttentionExport]:
                 source_focus_start=obj.get("source_focus_start", 0),
                 break_token=obj.get("break_token", DEFAULT_BREAK_TOKEN),
             )
+            for name in ("index", "index_in_doc", "source_focus_start"):
+                value = getattr(export, name)
+                if type(value) is not int or value < 0:
+                    raise MalformedRecordError("%s %r is not an integer >= 0" % (name, value))
+            if not isinstance(export.doc_id, str):
+                raise MalformedRecordError("doc_id %r is not a string" % (export.doc_id,))
+            if not isinstance(export.break_token, str) or export.break_token.split() != [export.break_token]:
+                raise MalformedRecordError("break_token %r is not one whitespace-free token" % (export.break_token,))
             export.validate()
         except (ValueError, KeyError, TypeError, MalformedRecordError) as exc:  # ValueError covers JSON errors
             raise MalformedRecordError("bad attention record at %s:%d: %s" % (path, lineno, exc)) from None

@@ -332,9 +332,11 @@ class TestCli:
             ("[context]\nmarking = prefixed\n", "marking"),
             ("[contexts]\nsource_window = 1\n", "contexts"),
             ("[DEFAULT]\nhidden_dim = 7\n", "DEFAULT"),
+            ("[context]\ncontext_prefix =\n", "[context] context_prefix"),
+            ("[context]\nbreak_token = _A B_\n", "[context] break_token"),
         ],
         ids=["typo", "typo-bpe", "legacy-joint", "section-seed", "lowercase-bool", "float-for-int",
-             "bad-enum", "unknown-section", "default-section"],
+             "bad-enum", "unknown-section", "default-section", "empty-context-prefix", "spaced-break-token"],
     )
     def test_config_outside_the_schema_is_config_error(self, tmp_path, capsys, ini, named):
         (tmp_path / "run.ini").write_text(ini)
@@ -362,6 +364,18 @@ class TestCli:
         assert {"length_norm_alpha", "coverage_beta", "majority_use_mass", "hidden_dim", "num_docs"} <= overrides
         for dest in overrides:
             assert sum(dest in k for k in keys.values()) == 1, dest
+
+    def test_two_runs_build_one_parser(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert main(["synth", "--num-docs", "1", "--out", str(tmp_path)]) == 0
+        assert built.count("ctxnmt") <= 1  # none when an earlier run in this process built it
 
     def test_prepare_mode_keeps_configured_break_token(self, tmp_path):
         (tmp_path / "run.ini").write_text("[context]\nbreak_token = _SEP_\n")
@@ -450,6 +464,21 @@ class TestCli:
         assert self._pronoun_eval(tmp_path, *flags) == 2
         assert "'he'" in capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
+
+    def test_pronoun_eval_system_of_other_length_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "long.hyp").write_text("then she fell .\nthen it fell .\n")
+        assert self._pronoun_eval(tmp_path, "--system", "long=" + str(tmp_path / "long.hyp")) == 3
+        assert "'long'" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
+
+    def test_heatmap_of_a_repeated_index_is_data_error(self, tmp_path, capsys):
+        record = '{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}\n'
+        attn = tmp_path / "joined.attn.jsonl"
+        attn.write_text(record * 2)  # two attention files concatenated
+        assert main(["heatmap", "--attn", str(attn), "--index", "0", "--out", str(tmp_path / "out")]) == 3
+        assert "record index 0 appears on 2 records of %s" % attn in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("heatmap-*"))
+        assert main(["attn-stats", "--attn", str(attn), "--out", str(tmp_path / "out")]) == 0
 
     def test_heatmap_without_image(self, tmp_path):
         attn = tmp_path / "hyp.attn.jsonl"
@@ -618,6 +647,17 @@ class TestInputBoundaries:
         assert self.translate(d, d / "swapped.ckpt") == 2
         assert "out of order" in capsys.readouterr().err
 
+    def test_unsupported_checkpoint_version_is_config_error(self, corpus, capsys):
+        d, _ = corpus
+        raw = (d / "model.ckpt").read_bytes()
+        size = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + size])
+        header["format_version"] = 2
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        (d / "v2.ckpt").write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + size :])
+        assert self.translate(d, d / "v2.ckpt") == 2
+        assert "unsupported checkpoint version in %s" % (d / "v2.ckpt") in capsys.readouterr().err
+
     def test_nan_checkpoint_is_numeric_error(self, corpus):
         d, params = corpus
         params.tensors["out_W"][0, 0] = np.nan
@@ -649,6 +689,14 @@ class TestInputBoundaries:
         assert self.translate(d, d / "model.ckpt", d / "bad.meta") == 3
         assert "%s:2" % (d / "bad.meta") in capsys.readouterr().err
         assert not (d / "out" / "hyp.attn.jsonl").exists()
+
+    def test_target_focus_offset_beyond_target_is_data_error(self, corpus, capsys):
+        d, _ = corpus
+        (d / "bad.meta").write_text("d\t0\t0\t0\nd\t1\t0\t2\n")  # line 2's target has one token
+        assert main(["train", "--source", str(d / "in.src"), "--target", str(d / "in.trg"),
+                     "--meta", str(d / "bad.meta"), "--out", str(d / "run"), "--epochs", "1"]) == 3
+        assert "%s:2" % (d / "bad.meta") in capsys.readouterr().err
+        assert not list((d / "run").glob("*.ckpt"))
 
     def test_train_logs_tokens_and_grad_norm(self, corpus):
         d, _ = corpus
@@ -787,8 +835,21 @@ class TestInputBoundaries:
             b'{"index": 1, "source_tokens": ["\xff"], "target_tokens": ["x"], "weights": [[1.0]]}',
             b'{"index": 1, "source_tokens": ["a"], "target_tokens": [7], "weights": [[1.0]]}',
             b'{"index": 1, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[NaN]]}',
+            b'{"index": "x", "index_in_doc": -3, "doc_id": 5, "source_tokens": ["a"], "target_tokens": ["x"], '
+            b'"weights": [[1.0]]}',
+            b'{"index": true, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "index_in_doc": -3, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "index_in_doc": 0.5, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "source_focus_start": false, "source_tokens": ["a"], "target_tokens": ["x"], '
+            b'"weights": [[1.0]]}',
+            b'{"index": 1, "doc_id": 5, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "break_token": "", "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "break_token": "_A B_", "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            b'{"index": 1, "break_token": 7, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
         ],
-        ids=["missing-key", "weights-size", "json-array", "bad-utf8", "number-token", "nan-weight"],
+        ids=["missing-key", "weights-size", "json-array", "bad-utf8", "number-token", "nan-weight", "mistyped-fields",
+             "bool-index", "negative-index-in-doc", "float-index-in-doc", "bool-focus-start", "number-doc-id",
+             "empty-break-token", "spaced-break-token", "number-break-token"],
     )
     def test_malformed_attention_record_is_data_error(self, tmp_path, capsys, line):
         valid = b'{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}'
