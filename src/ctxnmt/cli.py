@@ -224,8 +224,8 @@ def cmd_train(args, config, manifest):
         for i, row in enumerate(zip(result.losses, result.tokens, result.grad_norms), start=1):
             fh.write("%d\t%.6f\t%d\t%.6g\n" % (i, *row))
     manifest.add_output(loss_path)
-    manifest.counters = {"steps": len(result.losses), "skipped": result.skipped, "src_vocab": len(src_vocab),
-                         "trg_vocab": len(trg_vocab), "params": params.num_params()}
+    manifest.counters = {"steps": len(result.losses), "target_tokens": sum(result.tokens), "skipped": result.skipped,
+                         "src_vocab": len(src_vocab), "trg_vocab": len(trg_vocab), "params": params.num_params()}
     if failure is not None:
         raise failure
     last = result.losses[-1] if result.losses else float("nan")
@@ -236,7 +236,7 @@ def cmd_train(args, config, manifest):
 
 
 def cmd_translate(args, config, manifest):
-    model = as_ensemble(load_checkpoint(p) for p in args.checkpoint)
+    model = as_ensemble((load_checkpoint(p) for p in args.checkpoint), len(args.checkpoint))
     beam = config.beam
     src_lines = _read_lines(args.source)
     limit = model.hyper.max_source_len

@@ -7,15 +7,18 @@ All live hypotheses of a sentence advance together as the rows of one
 batched decoder state.  An ensemble is one stacked model (as_ensemble): its
 members' weights carry a leading member axis, so one encode and one
 decode_step per search step serve every member, and members must share one
-shape.  Ensembles average the per-step output probability distributions of
-their members before taking the log; attention weights are averaged the same
-way, both summed in member order.  Each step scores its candidates as plain
-floats; only those that survive the cut to beam_size become entries, and a
-hypothesis is a chain of back-pointer nodes (tests/oracles.py's
-oracle_beam_search, which steps the members one at a time and copies every
-candidate's lists, is the bit-for-bit reference).  The reserved <pad> and
-<bos> ids are never emitted.  Break tokens are ordinary vocabulary items:
-nothing constrains their generation.
+shape.  The stack is read-only and carries its gate-scaled LSTM weights
+(model.ScaledWeights), made once; a step works on its own arrays in place,
+with the operations and their order unchanged, so no bit of a search
+depends on whether the weights were prepared.  Ensembles average the
+per-step output probability distributions of their members before taking
+the log; attention weights are averaged the same way, both summed in member
+order.  Each step scores its candidates as plain floats; only those that
+survive the cut to beam_size become entries, and a hypothesis is a chain of
+back-pointer nodes (tests/oracles.py's oracle_beam_search, which steps the
+members one at a time and copies every candidate's lists, is the bit-for-bit
+reference).  The reserved <pad> and <bos> ids are never emitted.  Break
+tokens are ordinary vocabulary items: nothing constrains their generation.
 
 A decode returns ids and one (T, S) attention matrix (DecodeResult); the
 translate command maps the ids to tokens once, into the AttentionExport that
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +45,7 @@ from .model import (
     decode_step,
     encode,
     init_decoder_state,
+    scaled_weights,
 )
 
 
@@ -118,8 +122,16 @@ class DecodeResult:
 
 def _member_mean(x):
     """The mean over the leading member axis, summed in member order:
-    ((x1 + x2) + x3) + ...  A single member is its own mean."""
-    return np.add.accumulate(x)[-1] / len(x) if len(x) > 1 else x[0]
+    ((x1 + x2) + x3) + ...  A single member is its own mean.  Not
+    x.sum(axis=0): with 8 or more members and no other axis longer than 1,
+    numpy sums that axis pairwise."""
+    if len(x) == 1:
+        return x[0]
+    total = x[0] + x[1]
+    for member in x[2:]:
+        total += member
+    total /= len(x)
+    return total
 
 
 def _ensemble_step(model: ModelParams, state: DecoderState, prev_ids):
@@ -128,10 +140,10 @@ def _ensemble_step(model: ModelParams, state: DecoderState, prev_ids):
     Returns (state, log_probs (K, V), attention (K, S)) with reserved ids at
     -inf."""
     state, log_p, attn = decode_step(model, state, prev_ids)
-    probs, attn = _member_mean(np.exp(log_p)), _member_mean(attn)
+    probs, attn = _member_mean(np.exp(log_p, out=log_p)), _member_mean(attn)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite output probabilities while decoding")
-    log_probs = np.log(np.maximum(probs, 1e-300))
+    log_probs = np.log(np.maximum(probs, 1e-300, out=probs), out=probs)
     log_probs[:, (PAD_ID, BOS_ID)] = -np.inf
     return state, log_probs, attn
 
@@ -140,38 +152,59 @@ def _dims(hyper) -> tuple[int, int, int]:
     return hyper.embed_dim, hyper.hidden_dim, hyper.attention_dim
 
 
-def as_ensemble(params_or_ensemble) -> ModelParams:
+def as_ensemble(params_or_ensemble, size: int | None = None) -> ModelParams:
     """One stacked float64 model of the members: their flat vectors as one
-    (M, P) array, whose tensor views carry a leading member axis.  Only each
-    member's vector is kept until the stack is made, and a stacked model is
-    returned as it is.  Decoding runs in float64 because in float32 BLAS
-    rounds a row differently depending on how many rows step with it, so the
-    same hypothesis would score differently under beam 1 and beam 8 (by
-    ~1e-8).  Members must share both vocabularies, because their output
-    distributions are averaged id by id and one source encoding feeds them
-    all, and their embed, hidden and attention dims; a member that does not
-    is a ConfigError.  The stack's length caps are the smallest of its
-    members'."""
+    read-only (M, P) array, whose tensor views carry a leading member axis,
+    with its ScaledWeights made once (model.scaled_weights): the weights
+    cannot change, so the scaled copies cannot go stale.  A stacked model is
+    returned as it is.  Given the member count `size`, members may come from
+    an iterator that loads them: the stack is allocated at the first and
+    each member copied in as it arrives, so no member outlives its copy.
+
+    Decoding runs in float64 because in float32 BLAS rounds a row
+    differently depending on how many rows step with it, so the same
+    hypothesis would score differently under beam 1 and beam 8 (by ~1e-8);
+    in float64 only a one-row step (BLAS's gemv) differs, by ~1e-15.
+    Members must share both vocabularies, because their output distributions
+    are averaged id by id and one source encoding feeds them all, and their
+    embed, hidden and attention dims; a member that does not is a
+    ConfigError.  The stack's length caps are the smallest of its members'."""
     if isinstance(params_or_ensemble, ModelParams):
         if params_or_ensemble.flat.ndim == 2:
             return params_or_ensemble
         params_or_ensemble = [params_or_ensemble]
-    flats, hypers = [], []
-    for i, m in enumerate(params_or_ensemble, start=1):
+    if size is None:
+        params_or_ensemble = list(params_or_ensemble)
+        size = len(params_or_ensemble)
+    hypers = []
+    # each member is dropped before the next one loads (enumerate's cached tuple would keep it)
+    for m in params_or_ensemble:
+        i = len(hypers) + 1
         if not hypers:
             src_vocab, trg_vocab = m.src_vocab, m.trg_vocab
+            stack = np.empty((size, m.flat.size))
         elif (m.src_vocab.tokens, m.trg_vocab.tokens) != (src_vocab.tokens, trg_vocab.tokens):
             raise ConfigError("ensemble member %d has other vocabularies than member 1" % i)
         elif _dims(m.hyper) != _dims(hypers[0]):
             raise ConfigError("ensemble member %d has embed/hidden/attention dims %d/%d/%d, member 1 has %d/%d/%d"
                               % (i, *_dims(m.hyper), *_dims(hypers[0])))
-        flats.append(m.flat)
+        if i > size:
+            raise ConfigError("ensemble has more than the %d members it was given" % size)
+        stack[i - 1] = m.flat
         hypers.append(m.hyper)
+        del m
     if not hypers:
         raise ConfigError("ensemble must contain at least one checkpoint")
+    if len(hypers) != size:
+        raise ConfigError("ensemble has %d members, not the %d it was given" % (len(hypers), size))
     hyper = replace(hypers[0], max_source_len=min(h.max_source_len for h in hypers),
                     max_target_len=min(h.max_target_len for h in hypers))
-    return ModelParams(hyper, src_vocab, trg_vocab, np.stack(flats, dtype=np.float64))
+    stack.flags.writeable = False
+    model = ModelParams(hyper, src_vocab, trg_vocab, stack)
+    model.scaled = scaled_weights(model)
+    for weights in model.scaled:
+        weights.flags.writeable = False
+    return model
 
 
 def greedy_decode(params_or_ensemble, source_ids, max_len: int) -> DecodeResult:
@@ -209,8 +242,9 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Entry:
         live = [e for e in beams if not e.finished]
         if not live:
             break
-        rows = [e.row for e in live]
-        state = DecoderState(state.h[..., rows, :], state.c[..., rows, :], state.encoder_states, state.enc_proj)
+        rows = np.array([e.row for e in live])
+        state = DecoderState(state.h.take(rows, axis=-2), state.c.take(rows, axis=-2), state.encoder_states,
+                             state.enc_proj)
         state, log_probs, attn = _ensemble_step(model, state, np.array([e.node.token for e in live]))
         top = np.argsort(-log_probs, axis=1, kind="stable")[:, :beam]
         tokens, step_log_probs = top.tolist(), log_probs[row_index[: len(live)], top].tolist()
@@ -223,7 +257,10 @@ def beam_search(params_or_ensemble, source_ids, config: BeamConfig) -> Entry:
         scores = [e.score for e in pool]
         for (_, log_prob, node, _, _), ids, lps, penalty in zip(live, tokens, step_log_probs, penalties):
             child_norm = norm[node.length + 1]
-            scores += [(log_prob + lp) / child_norm + penalty for lp in lps]
+            if beta:
+                scores += [(log_prob + lp) / child_norm + penalty for lp in lps]
+            else:  # adding the zero penalty changes no score
+                scores += [(log_prob + lp) / child_norm for lp in lps]
             if EOS_ID in ids:  # finishing keeps the node's length and penalty
                 j = ids.index(EOS_ID)
                 scores[j - len(ids)] = (log_prob + lps[j]) / norm[node.length] + node.penalty
@@ -321,15 +358,20 @@ def write_attention_records(path, exports: Sequence[AttentionExport]):
 
 def read_attention_records(path) -> list[AttentionExport]:
     """Records of a JSONL attention file; any line that is not a complete,
-    consistent record raises MalformedRecordError naming path:line.  Indices
-    and offsets are integers >= 0, the doc id a string and the break token
-    one whitespace-free token."""
+    consistent record raises MalformedRecordError naming path:line.  Every
+    field of AttentionExport is required, because a guessed focus offset or
+    break token would partition the attention silently wrong.  Indices and
+    offsets are integers >= 0, the doc id a string and the break token one
+    whitespace-free token."""
     exports = []
     for lineno, line in enumerate(read_text(path, MalformedRecordError).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
+            missing = [f.name for f in fields(AttentionExport) if f.name not in obj]
+            if missing:
+                raise MalformedRecordError("missing field %s" % ", ".join(missing))
             source_tokens = list(obj["source_tokens"])
             target_tokens = list(obj["target_tokens"])
             if not all(isinstance(tok, str) for tok in source_tokens + target_tokens):
@@ -339,13 +381,13 @@ def read_attention_records(path) -> list[AttentionExport]:
                 raise MalformedRecordError("non-finite attention weight")
             export = AttentionExport(
                 index=obj["index"],
-                doc_id=obj.get("doc_id", ""),
-                index_in_doc=obj.get("index_in_doc", 0),
+                doc_id=obj["doc_id"],
+                index_in_doc=obj["index_in_doc"],
                 source_tokens=source_tokens,
                 target_tokens=target_tokens,
                 weights=weights,
-                source_focus_start=obj.get("source_focus_start", 0),
-                break_token=obj.get("break_token", DEFAULT_BREAK_TOKEN),
+                source_focus_start=obj["source_focus_start"],
+                break_token=obj["break_token"],
             )
             for name in ("index", "index_in_doc", "source_focus_start"):
                 value = getattr(export, name)

@@ -11,13 +11,20 @@ sources and (B, T) targets and makes one forward and one backward pass over
 the whole batch.  Length masks keep padding out of everything: padding
 zeroes the recurrent state and gets attention weight 0, the decoder-init
 mean covers real positions only, and padded target positions have loss
-weight 0, so no gradient flows from or into padding.  One LSTM step serves
-the encoder, the decoder and incremental decoding; the encoder's two
-directions step together as one recurrence.  Decoding encodes through the
-same code as a batch of one.  encode, init_decoder_state and decode_step also
-take a stacked model (decode.as_ensemble), whose tensors carry a leading
-member axis, and step all its members in one call.  Runs are single-threaded
-and bit-reproducible for a given seed.
+weight 0, so no gradient flows from or into padding; a batch without
+padding skips the masks.  One LSTM step serves the encoder, the decoder and
+incremental decoding; the encoder's two directions step together as one
+recurrence.  Decoding encodes through the same code as a batch of one.
+encode, init_decoder_state and decode_step also take a stacked model
+(decode.as_ensemble), whose tensors carry a leading member axis, and step
+all its members in one call.  Runs are single-threaded and bit-reproducible
+for a given seed.
+
+The recurrences read ScaledWeights: Wx, b and Wh times the gate scale,
+which is 0.5 or 1 per column, so the scaled sums are the bits of the
+unscaled sums times the scale.  A stacked model's vector is read-only and
+its ScaledWeights are made once (ModelParams.scaled); any other model makes
+them on each call, so weights that train are never read stale.
 
 The parameters are one flat vector, the named tensors views of it in
 checkpoint order; gradients and Adam's moments share the layout, so copy,
@@ -37,7 +44,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,7 +168,10 @@ class TensorViews(dict):
 class ModelParams:
     """The weights as one flat vector, its named views `tensors`, and the
     vocabularies they were built for.  A stacked model (see
-    decode.as_ensemble) holds M members' vectors as `flat` (M, P)."""
+    decode.as_ensemble) holds M members' vectors as `flat` (M, P).
+
+    `scaled` is None, or the model's ScaledWeights when its vector is
+    read-only (as_ensemble): weights that cannot change need scaling once."""
 
     def __init__(self, hyper: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary, flat: np.ndarray):
         self.hyper = hyper
@@ -170,6 +180,7 @@ class ModelParams:
         self.specs = _tensor_specs(hyper, len(src_vocab), len(trg_vocab))
         self.flat = flat
         self.tensors = TensorViews(flat, self.specs)
+        self.scaled = None
 
     @property
     def dtype(self):
@@ -210,9 +221,10 @@ def init_params(hp: HyperParams, src_vocab: Vocabulary, trg_vocab: Vocabulary) -
 # ---------------------------------------------------------------------------
 
 def softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _flat(x):
@@ -251,29 +263,64 @@ def _lstm_cell(zs, c_prev, mask=None, out=None):
     return np.multiply(gates[..., 3 * hdim :], tc, out=h), c, gates, tc
 
 
-def _run_lstm(ZXs, Wh, mask, h, c):
+class ScaledWeights(NamedTuple):
+    """The LSTM weights that the recurrences read, each times _gate_affine's
+    scale s over its 4H gate columns.  s is 0.5 or 1 and halving is exact,
+    so x (Wx s) + b s + h (Wh s) equals (x Wx + b + h Wh) s bit for bit.
+    enc_Wx (..., 2, E, 4H) and enc_b (..., 2, 1, 4H) hold the forward and
+    backward encoder directions of each member, enc_Wh their recurrent
+    weights as the stacked recurrence steps them: (2M, H, 4H), or (2, H, 4H)
+    for a single model."""
+
+    enc_Wx: np.ndarray
+    enc_b: np.ndarray
+    enc_Wh: np.ndarray
+    dec_Wx: np.ndarray
+    dec_b: np.ndarray
+    dec_Wh: np.ndarray
+
+
+def scaled_weights(params: ModelParams) -> ScaledWeights:
+    """The model's ScaledWeights: the ones kept with a read-only model
+    (params.scaled), else computed from the current weights, so a model
+    that trains never reads stale ones."""
+    if params.scaled is not None:
+        return params.scaled
+    t = params.tensors
+    lead = t["dec_Wh"].shape[:-2]  # (M,) for a stacked model
+    scale, _ = _gate_affine(params.hyper.hidden_dim, params.dtype)
+    Wx, b, Wh = (np.stack([t[cell + name] * scale for cell in ("enc_fwd", "enc_bwd")], axis=len(lead))
+                 for name in ("_Wx", "_b", "_Wh"))
+    return ScaledWeights(Wx, b.reshape(lead + (2, 1, -1)), Wh.reshape((-1,) + Wh.shape[-2:]),
+                         t["dec_Wx"] * scale, t["dec_b"] * scale, t["dec_Wh"] * scale)
+
+
+def _run_lstm(ZXs, Whs, mask, h, c):
     """Run the recurrence over time-major input pre-activations ZXs (T, ...,
-    4H), scaled as by _project, from states h, c (..., H).  Wh is (H, 4H), or
-    a stack (D, H, 4H) that steps D independent cells over ZXs (T, D, B, 4H)
-    as one batched matmul.  Where mask (T, ..., 1) is 0 the state becomes 0.
-    Returns the states (T, ..., H) and the cache for _run_lstm_backward."""
-    gates = np.empty_like(ZXs)
+    4H), scaled like Whs (ScaledWeights), from states h, c (..., H); ZXs is
+    overwritten with the gates.  Whs is (H, 4H), or a stack (D, H, 4H) that
+    steps D independent cells over ZXs (T, D, B, 4H) as one batched matmul.
+    Where mask (T, ..., 1) is 0 the state becomes 0; None means no row is
+    padded.  Returns the states (T, ..., H) and the cache for
+    _run_lstm_backward."""
+    gates = ZXs
     TC = np.empty(ZXs.shape[:-1] + h.shape[-1:], dtype=ZXs.dtype)
     # C[s + 1] and H[s + 1] are the states after step s
     C, H = np.empty((2, len(ZXs) + 1) + h.shape, dtype=ZXs.dtype)
     C[0], H[0] = c, h
-    mask = np.repeat(mask.astype(ZXs.dtype), h.shape[-1], axis=-1)  # full rows multiply faster
-    Whs = Wh * _gate_affine(h.shape[-1], Wh.dtype)[0]
+    if mask is not None:
+        mask = np.repeat(mask.astype(ZXs.dtype), h.shape[-1], axis=-1)  # full rows multiply faster
     for s in range(len(ZXs)):
-        h, c, _, _ = _lstm_cell(ZXs[s] + h @ Whs, c, mask[s], (gates[s], C[s + 1], TC[s], H[s + 1]))
-    return H[1:], (Wh, mask, gates, C, TC, H)
+        gates[s] += h @ Whs
+        h, c, _, _ = _lstm_cell(gates[s], c, None if mask is None else mask[s], (gates[s], C[s + 1], TC[s], H[s + 1]))
+    return H[1:], (mask, gates, C, TC, H)
 
 
-def _run_lstm_backward(cache, d_out):
+def _run_lstm_backward(cache, d_out, Wh):
     """Backward through a _run_lstm call given the gradients of its states
-    (T, ..., H).  Returns the gradients of the unscaled gate pre-activations
-    (T, ..., 4H), of the initial h (..., H) and of Wh (shaped like Wh)."""
-    Wh, mask, gates, C, TC, H = cache
+    (T, ..., H) and the unscaled Wh.  Returns the gradients of the unscaled
+    gate pre-activations (T, ..., 4H), of the initial h (..., H) and of Wh."""
+    mask, gates, C, TC, H = cache
     hdim = H.shape[-1]
     # Every factor that does not depend on the incoming gradient, for all T
     # at once: dc += dh * A, du = dc * mask, dz_{i,f,g} = du * K[:3],
@@ -298,7 +345,8 @@ def _run_lstm_backward(cache, d_out):
     for s in range(len(dZ) - 1, -1, -1):
         dh += d_out[s]
         dc += dh * A[s]
-        dc *= mask[s]
+        if mask is not None:
+            dc *= mask[s]
         np.multiply(dc3, K3[s], out=dZ3[s])
         np.multiply(dh, Ko[s], out=dZo[s])
         np.matmul(dZ[s], WhT, out=dh)
@@ -309,17 +357,6 @@ def _run_lstm_backward(cache, d_out):
     h_prev = H[:-1].swapaxes(0, len(lead)).reshape(lead + (-1, hdim))
     dz = dZ.swapaxes(0, len(lead)).reshape(lead + (-1, dZ.shape[-1]))
     return dZ, dh, np.swapaxes(h_prev, -1, -2) @ dz
-
-
-def _project(t, cell, X):
-    """Input share of a cell's gate pre-activations times the gate scale,
-    (x Wx + b) * scale, for X (..., E), or (M, ..., E) with a stack's views.
-    Halving columns is exact, so this is x (Wx scale) + b scale bit for bit,
-    and so is adding h (Wh scale)."""
-    Wx = t[cell + "_Wx"]
-    scale, _ = _gate_affine(Wx.shape[-1] // 4, X.dtype)
-    rows = X.reshape(Wx.shape[:-2] + (-1, X.shape[-1]))
-    return (rows @ (Wx * scale) + t[cell + "_b"] * scale).reshape(X.shape[:-1] + (-1,))
 
 
 def _project_backward(t, cell, X, dZ, grads):
@@ -377,16 +414,25 @@ def _encode(params: ModelParams, src_ids, src_mask):
     states are (M, B, S, 2H).  All directions step together: direction 0 of
     the stacked recurrence reads positions 0..S-1, direction 1 reads S-1..0,
     so right padding gives the reverse direction the zero state it starts
-    from.  A stacked model's M members step their 2M directions as one."""
-    t = params.tensors
+    from.  A stacked model's M members step their 2M directions as one.
+    One matmul projects the (S B, E) embedding rows for both directions of
+    every member; without padding no mask is applied."""
+    t, w = params.tensors, scaled_weights(params)
     lead = t["enc_fwd_Wh"].shape[:-2]  # (M,) for a stacked model
+    n_src, batch = src_ids.T.shape
     X = t["src_embed"][..., src_ids.T, :]
-    mask = src_mask.T[..., None]
-    ZX = np.stack([_project(t, "enc_fwd", X), _project(t, "enc_bwd", X)[..., ::-1, :, :]], axis=-3)
-    ZX = ZX.swapaxes(0, len(lead)).reshape((len(mask), -1) + ZX.shape[-2:])  # time first: (S, 2M, B, 4H)
-    Wh = np.stack([t["enc_fwd_Wh"], t["enc_bwd_Wh"]], axis=-3).reshape((-1,) + t["enc_fwd_Wh"].shape[-2:])
-    zero = np.zeros((len(Wh), len(src_ids), params.hyper.hidden_dim), dtype=params.dtype)
-    out, cache = _run_lstm(ZX, Wh, np.stack([mask, mask[::-1]] * (len(Wh) // 2), axis=1), zero, zero)
+    Z = X.reshape(lead + (1, -1, X.shape[-1])) @ w.enc_Wx
+    Z += w.enc_b
+    Z = Z.reshape(lead + (2, n_src, batch, -1))
+    ZX = np.empty((n_src,) + lead + (2, batch, Z.shape[-1]), dtype=Z.dtype)  # time first
+    ZX[..., 0, :, :] = Z[..., 0, :, :, :].swapaxes(0, len(lead))
+    ZX[..., 1, :, :] = Z[..., 1, ::-1, :, :].swapaxes(0, len(lead))
+    mask = None
+    if not src_mask.all():
+        mask = src_mask.T[..., None]
+        mask = np.stack([mask, mask[::-1]] * (len(w.enc_Wh) // 2), axis=1)
+    zero = np.zeros((len(w.enc_Wh), batch, params.hyper.hidden_dim), dtype=params.dtype)
+    out, cache = _run_lstm(ZX.reshape((n_src, -1) + ZX.shape[-2:]), w.enc_Wh, mask, zero, zero)
     out = out.reshape(out.shape[:1] + lead + (2,) + out.shape[2:])
     states = np.concatenate([out[..., 0, :, :], out[::-1, ..., 1, :, :]], axis=-1)  # (S, ..., B, 2H)
     return np.ascontiguousarray(states.transpose(*range(1, states.ndim - 1), 0, -1)), (src_ids, src_mask, X, cache)
@@ -399,7 +445,8 @@ def _encode_backward(params: ModelParams, cache, d_states, grads):
     src_ids, src_mask, X, lstm_cache = cache
     hdim = params.hyper.hidden_dim
     d_out = d_states.transpose(1, 0, 2)
-    dZ, _, dWh = _run_lstm_backward(lstm_cache, np.stack([d_out[..., :hdim], d_out[::-1, :, hdim:]], axis=1))
+    dZ, _, dWh = _run_lstm_backward(lstm_cache, np.stack([d_out[..., :hdim], d_out[::-1, :, hdim:]], axis=1),
+                                    np.stack([t["enc_fwd_Wh"], t["enc_bwd_Wh"]]))
     grads["enc_fwd_Wh"] += dWh[0]
     grads["enc_bwd_Wh"] += dWh[1]
     dX = _project_backward(t, "enc_fwd", X, dZ[:, 0], grads) + _project_backward(t, "enc_bwd", X, dZ[::-1, 1], grads)
@@ -425,7 +472,10 @@ def _attend_cached(params: ModelParams, queries, encoder_states, enc_proj=None, 
     if enc_proj is None:
         enc_proj = encoder_states @ t["attn_W_enc"]
     q = queries @ t["attn_W_dec"]
-    k = np.tanh(enc_proj + q[..., None, :])
+    # q copied along S, so the add runs over whole contiguous (S, A) blocks
+    k = np.repeat(q[..., None, :], enc_proj.shape[-2], axis=-2)
+    k += enc_proj
+    np.tanh(k, out=k)
     scores = (k @ t["attn_v"][..., None])[..., 0]
     if src_mask is not None:
         scores = np.where(src_mask, scores, -np.inf)
@@ -448,9 +498,14 @@ def _output_layer(params: ModelParams, states, encoder_states, enc_proj, src_mas
     _attend_cached); the cache is for _backward."""
     t = params.tensors
     ctx, a, k = _attend_cached(params, states, encoder_states, enc_proj, src_mask)
-    r = np.tanh(states @ t["readout_Ws"] + ctx @ t["readout_Wc"] + t["readout_b"])
-    logits = (r @ t["out_W"] + t["out_b"]).astype(np.float64)
-    log_probs = logits - logits.max(axis=-1, keepdims=True)
+    r = states @ t["readout_Ws"]
+    r += ctx @ t["readout_Wc"]
+    r += t["readout_b"]
+    np.tanh(r, out=r)
+    logits = r @ t["out_W"]
+    logits += t["out_b"]
+    log_probs = logits.astype(np.float64, copy=False)
+    log_probs -= log_probs.max(axis=-1, keepdims=True)
     log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
     return log_probs, a, (k, a, ctx, r)
 
@@ -479,10 +534,11 @@ def decode_step(params: ModelParams, state: DecoderState, prev_ids):
     log_probs (K, V), attention_weights (K, S)).  A stacked model steps all
     members as one batched matmul per weight and returns (M, K, V) and (M,
     K, S)."""
-    t = params.tensors
-    z = t["trg_embed"][..., prev_ids, :] @ t["dec_Wx"] + t["dec_b"] + state.h @ t["dec_Wh"]
-    scale, _ = _gate_affine(params.hyper.hidden_dim, z.dtype)
-    h, c, _, _ = _lstm_cell(z * scale, state.c)
+    w = scaled_weights(params)
+    z = params.tensors["trg_embed"].take(prev_ids, axis=-2) @ w.dec_Wx
+    z += w.dec_b
+    z += state.h @ w.dec_Wh
+    h, c, _, _ = _lstm_cell(z, state.c, out=(z, None, None, None))
     log_probs, a, _ = _output_layer(params, h, state.encoder_states, state.enc_proj)
     return DecoderState(h, c, state.encoder_states, state.enc_proj), log_probs, a
 
@@ -490,9 +546,12 @@ def decode_step(params: ModelParams, state: DecoderState, prev_ids):
 def _run_decoder(params: ModelParams, dec_in, trg_mask, s0, c0):
     """Teacher-forced decoder states (B, T, H) for inputs dec_in (B, T) from
     s0, c0 (B, H), zero at padding, and the cache for _run_decoder_backward."""
-    t = params.tensors
-    E = t["trg_embed"][dec_in.T]
-    states, cache = _run_lstm(_project(t, "dec", E), t["dec_Wh"], trg_mask.T[..., None], s0, c0)
+    w = scaled_weights(params)
+    E = params.tensors["trg_embed"][dec_in.T]
+    Z = _flat(E) @ w.dec_Wx
+    Z += w.dec_b
+    mask = None if trg_mask.all() else trg_mask.T[..., None]
+    states, cache = _run_lstm(Z.reshape(E.shape[:-1] + (-1,)), w.dec_Wh, mask, s0, c0)
     return states.transpose(1, 0, 2), (dec_in, trg_mask, E, cache)
 
 
@@ -500,7 +559,7 @@ def _run_decoder_backward(params: ModelParams, cache, d_states, grads):
     """Adds the decoder's and target embeddings' gradients, given those of
     _run_decoder's states (B, T, H), to grads; returns the gradient of s0."""
     dec_in, trg_mask, E, lstm_cache = cache
-    dZ, ds0, dWh = _run_lstm_backward(lstm_cache, d_states.transpose(1, 0, 2))
+    dZ, ds0, dWh = _run_lstm_backward(lstm_cache, d_states.transpose(1, 0, 2), params.tensors["dec_Wh"])
     grads["dec_Wh"] += dWh
     dE = _project_backward(params.tensors, "dec", E, dZ, grads)
     mask = trg_mask.T

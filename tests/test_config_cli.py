@@ -38,6 +38,15 @@ from ctxnmt.subword import BpeConfig, load_bpe_model
 
 DATA = Path(__file__).parent / "data"
 
+
+def attention_record(drop=(), **fields) -> bytes:
+    """One JSON line of a complete attention record, with fields replaced or dropped."""
+    record = {"index": 0, "doc_id": "d", "index_in_doc": 0, "source_tokens": ["a"], "target_tokens": ["x"],
+              "weights": [[1.0]], "source_focus_start": 0, "break_token": "_BREAK_"}
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if k not in drop}).encode("utf-8")
+
+
 # No whitespace: the INI format strips it from the ends of a value.
 _TEXT = st.text(st.characters(min_codepoint=33, max_codepoint=0x2FFF,
                               blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), max_size=12)
@@ -472,9 +481,8 @@ class TestCli:
         assert os.listdir(tmp_path / "out") == ["manifest-pronoun-eval.json"]  # the failed run's record only
 
     def test_heatmap_of_a_repeated_index_is_data_error(self, tmp_path, capsys):
-        record = '{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}\n'
         attn = tmp_path / "joined.attn.jsonl"
-        attn.write_text(record * 2)  # two attention files concatenated
+        attn.write_bytes((attention_record() + b"\n") * 2)  # two attention files concatenated
         assert main(["heatmap", "--attn", str(attn), "--index", "0", "--out", str(tmp_path / "out")]) == 3
         assert "record index 0 appears on 2 records of %s" % attn in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("heatmap-*"))
@@ -482,7 +490,7 @@ class TestCli:
 
     def test_heatmap_without_image(self, tmp_path):
         attn = tmp_path / "hyp.attn.jsonl"
-        attn.write_text('{"index": 0, "source_tokens": ["a", "b"], "target_tokens": ["x"], "weights": [[0.25, 0.75]]}\n')
+        attn.write_bytes(attention_record(source_tokens=["a", "b"], weights=[[0.25, 0.75]]) + b"\n")
         for out, flags, written in (("image", [], ["heatmap-0000.pgm", "heatmap-0000.tsv"]),
                                     ("plain", ["--no-image"], ["heatmap-0000.tsv"])):
             assert main(["heatmap", "--attn", str(attn), "--index", "0", "--out", str(tmp_path / out)] + flags) == 0
@@ -710,6 +718,8 @@ class TestInputBoundaries:
         for row in rows[1:]:
             assert int(row[2]) == (2 + 1) + (1 + 1)  # both targets plus <eos> each
             assert 0.0 < float(row[3]) < float("inf")
+        manifest = json.loads((d / "run" / "manifest-train.json").read_text())
+        assert manifest["counters"]["target_tokens"] == sum(int(row[2]) for row in rows[1:])
 
     def test_train_manifest_counts_what_it_did(self, corpus):
         d, _ = corpus
@@ -720,8 +730,8 @@ class TestInputBoundaries:
         manifest = json.loads((d / "run" / "manifest-train.json").read_text())
         params = load_checkpoint(manifest["checkpoints"][-1])
         # "a b" exceeds the source cap, so 3 epochs of the one example "c" -> "z"
-        assert manifest["counters"] == {"steps": 3, "skipped": 1, "src_vocab": 7, "trg_vocab": 7,
-                                        "params": params.num_params()}
+        assert manifest["counters"] == {"steps": 3, "target_tokens": 3 * 2, "skipped": 1, "src_vocab": 7,
+                                        "trg_vocab": 7, "params": params.num_params()}
         assert (manifest["status"], manifest["error"]) == ("ok", "")
         # only the files a run reads are hashed: the .docs without --meta, the .meta with it
         assert sorted(manifest["input_checksums"]) == [str(d / name) for name in ("in.docs", "in.src", "in.trg")]
@@ -752,6 +762,7 @@ class TestInputBoundaries:
                                                                       "checkpoint-000004.ckpt"]
         manifest = json.loads((d / "run" / "manifest-train.json").read_text())
         assert manifest["counters"]["steps"] == k - 1
+        assert manifest["counters"]["target_tokens"] == sum(int(row.split("\t")[2]) for row in rows)
         assert [Path(p).name for p in manifest["checkpoints"]] == ["checkpoint-000002.ckpt", "checkpoint-000004.ckpt"]
         load_checkpoint(d / "run" / "checkpoint-000004.ckpt")
         return code, manifest
@@ -829,30 +840,31 @@ class TestInputBoundaries:
     @pytest.mark.parametrize(
         "line",
         [
-            b'{"index": 1, "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[0.5, 0.5]]}',
+            attention_record(index=1, drop=["source_tokens"]),
+            attention_record(index=1, weights=[[0.5, 0.5]]),
             b'[{"index": 1}]',
-            b'{"index": 1, "source_tokens": ["\xff"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "source_tokens": ["a"], "target_tokens": [7], "weights": [[1.0]]}',
-            b'{"index": 1, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[NaN]]}',
-            b'{"index": "x", "index_in_doc": -3, "doc_id": 5, "source_tokens": ["a"], "target_tokens": ["x"], '
-            b'"weights": [[1.0]]}',
-            b'{"index": true, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "index_in_doc": -3, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "index_in_doc": 0.5, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "source_focus_start": false, "source_tokens": ["a"], "target_tokens": ["x"], '
-            b'"weights": [[1.0]]}',
-            b'{"index": 1, "doc_id": 5, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "break_token": "", "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "break_token": "_A B_", "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
-            b'{"index": 1, "break_token": 7, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}',
+            attention_record(index=1, source_tokens=["@"]).replace(b"@", b"\xff"),
+            attention_record(index=1, target_tokens=[7]),
+            attention_record(index=1, weights=[[float("nan")]]),
+            attention_record(index="x", index_in_doc=-3, doc_id=5),
+            attention_record(index=True),
+            attention_record(index=1, index_in_doc=-3),
+            attention_record(index=1, index_in_doc=0.5),
+            attention_record(index=1, source_focus_start=False),
+            attention_record(index=1, doc_id=5),
+            attention_record(index=1, break_token=""),
+            attention_record(index=1, break_token="_A B_"),
+            attention_record(index=1, break_token=7),
+            attention_record(index=1, drop=["source_focus_start"]),
+            attention_record(index=1, drop=["break_token"]),
         ],
         ids=["missing-key", "weights-size", "json-array", "bad-utf8", "number-token", "nan-weight", "mistyped-fields",
              "bool-index", "negative-index-in-doc", "float-index-in-doc", "bool-focus-start", "number-doc-id",
-             "empty-break-token", "spaced-break-token", "number-break-token"],
+             "empty-break-token", "spaced-break-token", "number-break-token", "missing-focus-start",
+             "missing-break-token"],
     )
     def test_malformed_attention_record_is_data_error(self, tmp_path, capsys, line):
-        valid = b'{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}'
+        valid = attention_record()
         path = tmp_path / "hyp.attn.jsonl"
         path.write_bytes(valid + b"\n" + line + b"\n")
         for command in (["attn-stats"], ["heatmap", "--index", "0"]):
@@ -947,8 +959,7 @@ class TestRunner:
         (tmp_path / "in.trg").write_text("x y\nz\n")
         (tmp_path / "short.trg").write_text("x y\n")
         (tmp_path / "in.docs").write_text("d\nd\n")
-        (tmp_path / "hyp.attn.jsonl").write_text(
-            '{"index": 0, "source_tokens": ["a"], "target_tokens": ["x"], "weights": [[1.0]]}\n')
+        (tmp_path / "hyp.attn.jsonl").write_bytes(attention_record() + b"\n")
         vocab = Vocabulary.build([["a", "b", "c"]])
         save_checkpoint(init_params(HyperParams(embed_dim=4, hidden_dim=5, attention_dim=3), vocab, vocab),
                         tmp_path / "model.ckpt")

@@ -1,6 +1,9 @@
 """Decoder tests: greedy/beam equivalence, ensembling, segment extraction,
 attention export format."""
 
+import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from ctxnmt.decode import (
     BeamConfig,
     SEGMENT_ALL,
     SEGMENT_LAST,
+    _member_mean,
     as_ensemble,
     beam_decode,
     beam_search,
@@ -27,6 +31,7 @@ from ctxnmt.model import (
     EOS_ID,
     PAD_ID,
     HyperParams,
+    ModelParams,
     Vocabulary,
     decode_step,
     encode,
@@ -291,6 +296,80 @@ def test_four_savepoints_at_beam_eight_equal_the_oracle(tmp_path):
         assert export.target_tokens == expected.target_tokens(stack)
         assert export.weights.tobytes() == expected.weights.tobytes()
         assert beam_decode(stack, ids, config).log_prob == expected.log_prob
+
+
+class TestPreparedEnsemble:
+    """as_ensemble's stack is read-only and carries its gate-scaled weights;
+    a model with one flat vector keeps nothing between calls."""
+
+    @pytest.mark.parametrize("shape", [(2, 8, 40), (4, 1, 32), (4, 8, 1), (8, 1, 1), (9, 3, 1), (5, 1, 7)])
+    def test_member_mean_sums_in_member_order(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        for _ in range(50):
+            x = np.exp(rng.uniform(math.log(1e-300), 0.0, size=shape))
+            total = x[0].copy()
+            for member in x[1:]:
+                total = total + member
+            assert _member_mean(x).tobytes() == (total / len(x)).tobytes()
+
+    def test_member_mean_of_eight_single_values_is_not_pairwise(self):
+        # numpy's pairwise sum over the member axis would give (1 + 7e-16) / 8
+        x = np.array([1.0] + [1e-16] * 7).reshape(8, 1, 1)
+        assert _member_mean(x)[0, 0] == 1.0 / 8
+
+    def test_stack_and_its_scaled_weights_are_read_only(self, random_model):
+        params, _ = random_model
+        stack = as_ensemble([params, params])
+        assert stack.scaled is not None
+        for array in [stack.flat, *stack.tensors.values(), *stack.scaled]:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        assert params.scaled is None and params.flat.flags.writeable
+
+    def test_a_trained_model_decodes_as_a_fresh_copy(self, random_model):
+        params, src_vocab = random_model
+        params = ModelParams(replace(params.hyper, epochs=1), params.src_vocab, params.trg_vocab, params.flat.copy())
+        ids = src_vocab.encode(["a", "b", "c", "d"])
+        config = BeamConfig(beam_size=3)
+        before = beam_decode(params, ids, config)
+        _, log_probs, _ = decode_step(params, init_decoder_state(params, encode(params, ids)), np.array([BOS_ID]))
+        units = [TranslationUnit(("a", "b"), ("u", "v"), "d", 0), TranslationUnit(("c",), ("w",), "d", 1)]
+        assert len(train(params, extend_corpus(units, ContextConfig(0, 0, Marking.BREAK))).losses) == 1
+        fresh = params.copy()
+        assert params.scaled is None
+        after = beam_decode(params, ids, config)
+        _assert_same_decode(after, beam_decode(fresh, ids, config))
+        assert after.log_prob != before.log_prob
+        again = decode_step(params, init_decoder_state(params, encode(params, ids)), np.array([BOS_ID]))
+        expected = decode_step(fresh, init_decoder_state(fresh, encode(fresh, ids)), np.array([BOS_ID]))
+        for got, want in zip(again[1:], expected[1:]):
+            assert got.tobytes() == want.tobytes()
+        assert again[1].tobytes() != log_probs.tobytes()
+
+    def test_loading_members_keeps_one_member_beside_the_stack(self):
+        # translate allocates the stack at the first member and copies each member in as it
+        # loads; holding every loaded member until the end would exceed this bound
+        checkpoints = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "models").glob("*.ckpt"))
+        load_checkpoint(checkpoints[0])  # warm the import-time caches outside the measurement
+        tracemalloc.start()
+        try:
+            member = load_checkpoint(checkpoints[0])
+            _, one_member = tracemalloc.get_traced_memory()
+            del member
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            stack = as_ensemble((load_checkpoint(c) for c in checkpoints), len(checkpoints))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack.flat.shape[0] == len(checkpoints) == 4
+        assert peak - start <= stack.flat.nbytes + sum(w.nbytes for w in stack.scaled) + one_member
+
+    def test_member_count_must_match(self, random_model):
+        params, _ = random_model
+        for members, size in (([params] * 3, 2), ([params] * 2, 3)):
+            with pytest.raises(ConfigError):
+                as_ensemble(iter(members), size)
 
 
 class TestSegmentExtraction:

@@ -393,6 +393,28 @@ class TestStackedModel:
             assert_slices_equal(fields(state) + [log_probs, attn], [fields(s) + [lp, a] for s, lp, a in outputs])
 
 
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_encode_equals_the_rows_of_a_padded_batch(self, members):
+        # encode is _encode on a batch of one.  One-row products go through BLAS's gemv and
+        # several rows through gemm, which sums in another order, so a source equals its row
+        # of a one-row batch bit for bit when it has 2 tokens or more, and its row of a
+        # several-row batch to rounding.
+        stack = as_ensemble([tiny_model(seed=seed)[0] for seed in range(30, 30 + members)])
+        rng = np.random.default_rng(members)
+        sources = [rng.integers(len(RESERVED_TOKENS), len(stack.src_vocab), size=n) for n in (2, 5, 3, 9)]
+        for ids in sources:
+            single = encode(stack, ids)
+            assert single.shape == (members, len(ids), 2 * stack.hyper.hidden_dim)
+            padded = np.concatenate([ids, np.full(4, PAD_ID)])[None]
+            states, _ = _encode(stack, padded, np.arange(padded.shape[1])[None] < len(ids))
+            assert states[:, 0, : len(ids)].tobytes() == single.tobytes()
+            assert np.all(states[:, 0, len(ids) :] == 0.0)
+        states, _ = _encode(stack, *_source_batch(stack, sources))
+        for row, ids in enumerate(sources):
+            assert np.allclose(states[:, row, : len(ids)], encode(stack, ids), rtol=0, atol=1e-14)
+            assert np.all(states[:, row, len(ids) :] == 0.0)
+
+
 def copy_corpus(n_units=20, seed=0):
     rng = np.random.default_rng(seed)
     alphabet = list("abcde")
