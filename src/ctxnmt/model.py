@@ -41,9 +41,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -289,8 +289,12 @@ def scaled_weights(params: ModelParams) -> ScaledWeights:
     t = params.tensors
     lead = t["dec_Wh"].shape[:-2]  # (M,) for a stacked model
     scale, _ = _gate_affine(params.hyper.hidden_dim, params.dtype)
-    Wx, b, Wh = (np.stack([t[cell + name] * scale for cell in ("enc_fwd", "enc_bwd")], axis=len(lead))
+    Wx, b, Wh = (np.empty(lead + (2,) + t["enc_fwd" + name].shape[len(lead):], params.dtype)
                  for name in ("_Wx", "_b", "_Wh"))
+    # each direction is scaled straight into its slot: np.stack would hold both unstacked copies
+    for stacked, name in ((Wx, "_Wx"), (b, "_b"), (Wh, "_Wh")):
+        for k, cell in enumerate(("enc_fwd", "enc_bwd")):
+            np.multiply(t[cell + name], scale, out=stacked[(slice(None),) * len(lead) + (k,)])
     return ScaledWeights(Wx, b.reshape(lead + (2, 1, -1)), Wh.reshape((-1,) + Wh.shape[-2:]),
                          t["dec_Wx"] * scale, t["dec_b"] * scale, t["dec_Wh"] * scale)
 
@@ -852,29 +856,41 @@ def save_checkpoint(params: ModelParams, path):
 
 def load_checkpoint(path) -> ModelParams:
     """A file that is not a complete checkpoint for its own header raises
-    ConfigError; non-finite weights raise NumericError."""
+    ConfigError; non-finite weights raise NumericError.  The file's size is
+    checked against the header's length before the header is read, and
+    against the header before the weights are read, straight into their
+    float32 vector."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            head = fh.read(8)
+            if len(head) < 8 or head[:4] != _MAGIC:
+                raise ConfigError("not a checkpoint file: %s" % path)
+            (header_len,) = struct.unpack("<I", head[4:])
+            actual = os.fstat(fh.fileno()).st_size
+            if 8 + header_len > actual:  # checked before read() allocates the header's length
+                raise ConfigError("malformed checkpoint header in %s: %d bytes long in a file of %d"
+                                  % (path, header_len, actual))
+            try:
+                header = json.loads(fh.read(header_len).decode("utf-8"))
+                if header["format_version"] != _FORMAT_VERSION:
+                    raise ConfigError("unsupported checkpoint version in %s" % path)
+                hp = HyperParams(**header["hyperparams"])
+                src_vocab = Vocabulary(header["source_vocab"])
+                trg_vocab = Vocabulary(header["target_vocab"])
+                specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError covers UTF-8 and JSON errors
+                raise ConfigError("malformed checkpoint header in %s: %r" % (path, exc)) from None
+            if specs != _tensor_specs(hp, len(src_vocab), len(trg_vocab)):
+                raise ConfigError("checkpoint tensors missing, mis-shaped or out of order in %s" % path)
+            count = sum(math.prod(shape) for _, shape in specs)
+            size = 8 + header_len + 4 * count
+            if actual != size:
+                raise ConfigError("checkpoint %s has %d bytes, its header describes %d" % (path, actual, size))
+            flat = np.empty(count, "<f4")
+            if fh.readinto(flat) != flat.nbytes:
+                raise ConfigError("checkpoint %s was cut short while it was read" % path)
     except OSError as exc:
         raise ConfigError("cannot read checkpoint %s: %s" % (path, exc.strerror or exc)) from None
-    if len(raw) < 8 or raw[:4] != _MAGIC:
-        raise ConfigError("not a checkpoint file: %s" % path)
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-        if header["format_version"] != _FORMAT_VERSION:
-            raise ConfigError("unsupported checkpoint version in %s" % path)
-        hp = HyperParams(**header["hyperparams"])
-        src_vocab = Vocabulary(header["source_vocab"])
-        trg_vocab = Vocabulary(header["target_vocab"])
-        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers UTF-8 and JSON errors
-        raise ConfigError("malformed checkpoint header in %s: %r" % (path, exc)) from None
-    if specs != _tensor_specs(hp, len(src_vocab), len(trg_vocab)):
-        raise ConfigError("checkpoint tensors missing, mis-shaped or out of order in %s" % path)
-    size = 8 + header_len + 4 * sum(math.prod(shape) for _, shape in specs)
-    if len(raw) != size:
-        raise ConfigError("checkpoint %s has %d bytes, its header describes %d" % (path, len(raw), size))
-    params = ModelParams(hp, src_vocab, trg_vocab, np.frombuffer(raw, "<f4", offset=8 + header_len).astype(np.float32))
+    params = ModelParams(hp, src_vocab, trg_vocab, flat.astype(np.float32, copy=False))
     params.tensors.check_finite("values")
     return params

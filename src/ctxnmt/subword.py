@@ -67,10 +67,12 @@ class BpeModel:
         self._cache: dict[tuple[str, int], tuple[str, ...]] = {}
 
 
-def _pair_sort_key(pair: tuple[str, str]):
-    # content merges win ties against marker merges; plain string order otherwise
+def _heap_entry(count: int, pair: tuple[str, str]):
+    """learn_bpe's heap entry for a pair: the smallest entry is the most
+    frequent pair, ties going to content merges before marker merges, then
+    to plain string order."""
     left, right = pair
-    return (EOW_MARKER in left, EOW_MARKER in right, left, right)
+    return (-count, EOW_MARKER in left, EOW_MARKER in right, left, right)
 
 
 def _emit(symbols: Sequence[str]) -> list[str]:
@@ -91,48 +93,47 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int) -> BpeModel:
 
     Performs min(num_merges, available) merges; at each step the most
     frequent adjacent symbol pair is merged, ties broken lexicographically on
-    (left, right) with marker-bearing symbols ordered last.
+    (left, right) with marker-bearing symbols ordered last.  A word containing
+    whitespace, EOW_MARKER or JOIN_MARKER raises ConfigError: its merges and
+    emitted forms could not be told apart from those the markers make.
 
-    Pair counts are kept live (Sennrich et al. 2016): an index from pair to
-    the words containing it limits each merge to those words, and in each
-    only the adjacencies beside a merge change.  A merge at j removes the old
-    pairs (k, k+1) for k in {j-1, j, j+1} and adds the pairs on either side
-    of the merged symbol; each pair is counted once where two merges touch,
-    so overlapping repeats stay exact ("a a a a </w>" with (a, a) loses three
-    (a, a) and one (a, </w>) and gains (aa, aa) and (aa, </w>)).  Only the
-    new pairs are indexed.  A stale word in the index, one that no longer
-    holds the merged pair, is skipped.
+    Pair counts are kept live (Sennrich et al. 2016), with an index from each
+    pair to the words that have held it.  Merging the listed words left to
+    right leaves no (left, right) adjacency, runs like "a a a" included, so
+    the picked pair's count is deleted when it is picked.  Each merge at j
+    then moves its two neighbour pairs onto the merged symbol: (old[j-1],
+    left) becomes (old[j-1], merged), or (merged, merged) after a merge that
+    ends at j-1, and (right, old[j+2]) becomes (merged, old[j+2]) unless a
+    merge starts at j+2.  A moved pair equal to the picked one is already
+    gone, and a listed word that no longer holds the picked pair is skipped.
 
-    The best pair comes from a lazy max-heap.  A merge only removes
-    adjacencies or creates ones that contain the merged symbol, so after it
-    only pairs containing that symbol get a fresh entry; any other entry can
-    only over-estimate its pair's count.  The top entry is taken when its
-    count is the live one, re-filed at the live count when it is not, and
-    dropped when its pair is gone, which keeps "largest count, then smallest
-    _pair_sort_key" exact.
+    The best pair comes from a lazy max-heap.  A merge only removes pairs or
+    creates ones holding the merged symbol, so only those get a fresh entry;
+    any other entry can only over-estimate its pair's count.  The top entry
+    is taken when its count is live, re-filed at the live count when it is
+    not, and dropped when its pair is gone.
     """
     if num_merges < 0:
         raise ConfigError("num_merges must be >= 0")
     words: list[tuple[str, ...]] = []
     freqs: list[int] = []
-    for word, count in word_frequencies.items():
-        if count <= 0:
-            raise ConfigError("word frequency for %r must be > 0" % word)
-        if any(ch.isspace() for ch in word):
-            raise ConfigError("cannot learn from a word containing whitespace: %r" % word)
-        words.append(tuple(word) + (EOW_MARKER,))
-        freqs.append(count)
-
     stats: dict[tuple[str, str], int] = {}
     index: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
-    for i, word in enumerate(words):
-        for pair in zip(word, word[1:]):
-            stats[pair] = stats.get(pair, 0) + freqs[i]
+    for i, (word, count) in enumerate(word_frequencies.items()):
+        if count <= 0:
+            raise ConfigError("word frequency for %r must be > 0" % word)
+        if "".join(word.split()) != word or EOW_MARKER in word or JOIN_MARKER in word:
+            raise ConfigError("cannot learn from a word containing whitespace, %s or %s: %r"
+                              % (EOW_MARKER, JOIN_MARKER, word))
+        symbols = (*word, EOW_MARKER)
+        words.append(symbols)
+        freqs.append(count)
+        for pair in zip(symbols, symbols[1:]):
+            stats[pair] = stats.get(pair, 0) + count
             index[pair].add(i)
 
-    # (-count, *_pair_sort_key(pair)): the smallest entry is the best pair, and
-    # a pair's largest entry is never below its live count (see docstring)
-    heap = [(-count, *_pair_sort_key(pair)) for pair, count in stats.items()]
+    # a pair's highest-count entry never counts less than the pair's live count (see docstring)
+    heap = [_heap_entry(count, pair) for pair, count in stats.items()]
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     while len(merges) < num_merges and heap:
@@ -143,66 +144,55 @@ def learn_bpe(word_frequencies: Mapping[str, int], num_merges: int) -> BpeModel:
             heapq.heappop(heap)
             continue
         if live != -neg_count:
-            heapq.heapreplace(heap, (-live, *_pair_sort_key(best)))
+            heapq.heapreplace(heap, _heap_entry(live, best))
             continue
         merges.append(best)
+        del stats[best]
         merged = left + right
         grown = set()
         for i in index.pop(best):
             old, count = words[i], freqs[i]
-            # merge positions, left to right and non-overlapping
-            at = []
-            j, last = 0, len(old) - 1
+            # merge left to right; the merge before j ended at `end`
+            new, end, j, last = (), 0, 0, len(old) - 1
             while left in old[j:last]:
                 j = old.index(left, j, last)
-                if old[j + 1] == right:
-                    at.append(j)
-                    j += 2
-                else:
+                if old[j + 1] != right:
                     j += 1
-            if not at:
-                continue
-            new = []
-            start = 0
-            for j in at:
-                new.extend(old[start:j])
-                new.append(merged)
-                start = j + 2
-            new.extend(old[start:])
-            words[i] = new = tuple(new)
-            # the old pairs (k, k+1) that a merge at j breaks: k in {j-1, j, j+1}
-            done = 0
-            for j in at:
-                for k in range(max(j - 1, done), min(j + 2, last)):
-                    pair = (old[k], old[k + 1])
-                    remaining = stats[pair] - count
-                    if remaining:
-                        stats[pair] = remaining
-                    else:
-                        del stats[pair]
-                done = min(j + 2, last)
-            # the new pairs (k, k+1) beside the merged symbol at p = j - m: k in {p-1, p}
-            done, last = 0, len(new) - 1
-            for m, j in enumerate(at):
-                p = j - m
-                for k in range(max(p - 1, done), min(p + 1, last)):
-                    pair = (new[k], new[k + 1])
+                    continue
+                if j:
+                    gone, pair = (old[j - 1], left), (merged if j == end else old[j - 1], merged)
+                    if gone != best:
+                        remaining = stats.pop(gone) - count
+                        if remaining:
+                            stats[gone] = remaining
                     stats[pair] = stats.get(pair, 0) + count
                     index[pair].add(i)
                     grown.add(pair)
-                done = min(p + 1, last)
+                # a merge that starts at j + 2 moves the pair after this one as its left neighbour
+                if j + 2 <= last and old[j + 2 : j + 4] != best:
+                    gone, pair = (right, old[j + 2]), (merged, old[j + 2])
+                    if gone != best:
+                        remaining = stats.pop(gone) - count
+                        if remaining:
+                            stats[gone] = remaining
+                    stats[pair] = stats.get(pair, 0) + count
+                    index[pair].add(i)
+                    grown.add(pair)
+                new += (*old[end:j], merged)
+                j = end = j + 2
+            if end:
+                words[i] = new + old[end:]
         for pair in grown:
-            if pair in stats:
-                heapq.heappush(heap, (-stats[pair], *_pair_sort_key(pair)))
+            heapq.heappush(heap, _heap_entry(stats[pair], pair))
 
     # free the pair tables before BpeModel builds its ranks and reverse tables,
     # so that building them does not raise the peak memory of learning
     del stats, index, heap
-    counts: Counter = Counter()
+    vocab: dict[str, int] = {}
     for word, count in zip(words, freqs):
         for piece in _emit(word):
-            counts[piece] += count
-    return BpeModel(merges=tuple(merges), subword_vocab=dict(counts))
+            vocab[piece] = vocab.get(piece, 0) + count
+    return BpeModel(merges=tuple(merges), subword_vocab=vocab)
 
 
 def protection(context: ContextConfig):

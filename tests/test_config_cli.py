@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1056,3 +1057,18 @@ class TestGarbledInputs:
             (tmp / "garbled").write_bytes(bytes(raw))
             argv = [str(a) for a in self.argv(valid, fmt, tmp / "garbled", tmp / "out")]
             assert main(argv) in (0, 2, 3, 4)
+
+    def test_checkpoint_header_length_past_the_file_is_a_config_error(self, valid, tmp_path, capsys):
+        # the length field is checked against the file's size before a header of that length is read
+        raw = bytearray((valid / "model.ckpt").read_bytes())
+        raw[4:8] = (0xFFFFFFF0).to_bytes(4, "little")
+        (tmp_path / "garbled.ckpt").write_bytes(bytes(raw))
+        argv = [str(a) for a in self.argv(valid, "checkpoint", tmp_path / "garbled.ckpt", tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "malformed checkpoint header" in capsys.readouterr().err
+        assert peak < 1024 * 1024

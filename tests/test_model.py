@@ -1,7 +1,10 @@
 """Encoder-decoder unit tests: shapes, hand-checked values, gradients,
 training determinism, checkpoint format."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,3 +537,38 @@ class TestCheckpointFile:
         save_checkpoint(params, p1)
         save_checkpoint(params.copy(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_peaks_at_its_vector_and_header(self):
+        # the weights are read straight into their float32 vector: no copy of the file's bytes;
+        # beside the vector and the parsed header the peak holds check_finite's isfinite mask
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "checkpoint-000100.ckpt"
+        header_len = int.from_bytes(path.read_bytes()[4:8], "little")
+        load_checkpoint(path)  # warm the import-time caches outside the measurement
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            params = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.flat.dtype == np.float32 and params.flat.nbytes == 4 * 31968
+        assert peak - start <= params.flat.nbytes + params.flat.size + header_len + 32 * 1024
+
+    def test_size_is_checked_before_the_vector_is_allocated(self, tmp_path):
+        # a consistent header that describes about 61 GB of weights, in a file of a few hundred bytes
+        _, src_vocab, trg_vocab = tiny_model(seed=9)
+        hp = HyperParams(embed_dim=6, hidden_dim=30000, attention_dim=5)
+        specs = model._tensor_specs(hp, len(src_vocab), len(trg_vocab))
+        header = {"format_version": 1, "hyperparams": vars(hp), "source_vocab": src_vocab.tokens,
+                  "target_vocab": trg_vocab.tokens, "tensors": [{"name": n, "shape": s} for n, s in specs]}
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"CNMT" + len(blob).to_bytes(4, "little") + blob + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="header describes"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024

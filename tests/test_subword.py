@@ -1,5 +1,6 @@
 """BPE learning, application, threshold splitting, and reversion tests."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -67,6 +68,18 @@ class TestLearn:
     def test_whitespace_in_word_rejected(self, word):
         with pytest.raises(ConfigError):
             learn_bpe({word: 3, "ab": 1}, 5)
+
+    # ("b", "</w>") learned from "ab</w>" would read as an end-of-word merge, and "a@@" as
+    # a whole word would share the vocabulary key of a non-final "a"
+    @pytest.mark.parametrize("words", [{"ab</w>": 5, "b": 1}, {"a@@": 5, "ab": 2}, {"</w>": 1}, {"@@": 1},
+                                       {"x</w>y": 1}, {"a@@b": 1}, {"ok": 2, "@@x": 1}])
+    def test_marker_in_word_rejected(self, words):
+        with pytest.raises(ConfigError, match="whitespace, </w> or @@"):
+            learn_bpe(words, 20)
+
+    def test_split_markers_are_ordinary_text(self):
+        model = learn_bpe({"a</": 2, "w>@": 1}, 20)
+        assert model.subword_vocab == {"a</": 2, "w>@": 1}
 
 
 class TestApply:
@@ -188,6 +201,13 @@ small_words_st = st.sampled_from(["ab", "abc"]).flatmap(
 @example(words={"abc": 5, "ab": 3}, num_merges=10)
 # the first merge, (b, </w>), is at the end of both words, so no pair lies to its right
 @example(words={"ab": 3, "b": 2}, num_merges=10)
+# adjacent merges: the second (a, b) in "ababab" starts where the first ends
+@example(words={"ababab": 2, "ab": 1}, num_merges=10)
+# left == right runs of odd and even length: "aaaaaaa" keeps one "a" after three (a, a) merges
+@example(words={"aaaaaaa": 2}, num_merges=10)
+@example(words={"aaaaaa": 2}, num_merges=10)
+# both neighbours of the first merge, (a, b) in "cabc", are "c"
+@example(words={"cabc": 3, "ab": 2}, num_merges=10)
 def test_learn_matches_recount_oracle(words, num_merges):
     # small alphabets and counts make ties and overlapping repeats common
     model = learn_bpe(words, num_merges)
@@ -224,6 +244,24 @@ def test_learn_matches_recount_oracle_tie_heavy_zipfian():
     assert len(model.merges) == 200
     assert model.merges == oracle.merges
     assert model.subword_vocab == oracle.subword_vocab
+
+
+def test_learn_on_a_zipfian_workload_is_pinned(tmp_path):
+    # 3,000 types of 3-12 letters with skewed letter frequencies and Zipfian counts, like the
+    # prep-analyze benchmark's learning corpus; the digest of the model file pins every merge,
+    # its order and every vocabulary count at a scale the oracle is too slow for
+    rng = random.Random(26)
+    letters = "etaoinshrdlcumwfgypbvkjxqz"
+    weights = [1.0 / rank ** 0.8 for rank in range(1, len(letters) + 1)]
+    types = {}
+    while len(types) < 3000:
+        types["".join(rng.choices(letters, weights, k=rng.randint(3, 12)))] = None
+    words = {word: 1 + int(40000 * rank ** -1.1) for rank, word in enumerate(types, start=1)}
+    model = learn_bpe(words, 500)
+    assert len(model.merges) == 500
+    save_bpe_model(model, tmp_path / "codes.bpe")
+    digest = hashlib.sha256((tmp_path / "codes.bpe").read_bytes()).hexdigest()
+    assert digest == "3f05b568256dfcb70f74c2419fd75d36c9b35522c5ff4ae602b46a0a54151277"
 
 
 symbol_st = st.text(alphabet="abc", min_size=1, max_size=3)
