@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -562,7 +563,27 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and write its manifest, whatever the outcome."""
+    """Run one subcommand and write its manifest, whatever the outcome.
+
+    The cyclic garbage collector is paused from parsing to the manifest
+    write, and the caller's setting comes back on every exit.  A command
+    builds acyclic data (token lists, pair tables, arrays) that reference
+    counting frees as it goes, so the collector's passes free almost
+    nothing, yet on the `prep-analyze` benchmark's inputs they took about a
+    tenth of `bpe-learn` and `prepare` (medians of 6.7 of 69 ms and 5.6 of
+    63 ms).  A whole command leaves a few dozen objects in cycles, however
+    large its input.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     path = manifest = None
     try:

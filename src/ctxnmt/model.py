@@ -789,9 +789,10 @@ def train(
 
     savepoint_schedule is the number of evenly spaced checkpoints (at least
     one), the last at the end of training.  Zero epochs returns only the
-    initialization checkpoint.  A NumericError or KeyboardInterrupt during a
-    step is raised with the partial TrainResult (the savepoints so far, the
-    logs of every step before) as `exc.result`.
+    initialization checkpoint.  A floating-point overflow anywhere in a step
+    is a NumericError, as are a non-finite loss and gradient.  A NumericError
+    or KeyboardInterrupt during a step is raised with the partial TrainResult
+    (the savepoints so far, the logs of every step before) as `exc.result`.
     """
     hp = params.hyper
     if savepoint_schedule < 1:
@@ -813,17 +814,25 @@ def train(
     shuffle_rng = substream(hp.rng_seed, "shuffle")
     result = TrainResult(checkpoints=[], skipped=skipped)
     try:
-        for _ in range(hp.epochs):
-            order = shuffle_rng.permutation(len(pairs))
-            for b in range(steps_per_epoch):
-                sources, targets = zip(*(pairs[i] for i in order[b * hp.batch_size : (b + 1) * hp.batch_size]))
-                loss, grads = backward(params, sources, targets)
-                result.grad_norms.append(float(np.sqrt(np.sum(np.square(grads.flat, dtype=np.float64)))))
-                optimizer.update(params, grads)
-                result.losses.append(loss)
-                result.tokens.append(sum(trg.size + 1 for trg in targets))
-                if schedule and len(result.losses) == schedule[0]:
-                    result.checkpoints.append(Checkpoint(schedule.pop(0), params.copy()))
+        # an overflowing pre-activation saturates tanh, so the loss and the
+        # gradient stay finite and only numpy's overflow flag shows it
+        with np.errstate(over="raise"):
+            for _ in range(hp.epochs):
+                order = shuffle_rng.permutation(len(pairs))
+                for b in range(steps_per_epoch):
+                    sources, targets = zip(*(pairs[i] for i in order[b * hp.batch_size : (b + 1) * hp.batch_size]))
+                    loss, grads = backward(params, sources, targets)
+                    grad_norm = float(np.sqrt(np.sum(np.square(grads.flat, dtype=np.float64))))
+                    optimizer.update(params, grads)
+                    result.losses.append(loss)
+                    result.tokens.append(sum(trg.size + 1 for trg in targets))
+                    result.grad_norms.append(grad_norm)
+                    if schedule and len(result.losses) == schedule[0]:
+                        result.checkpoints.append(Checkpoint(schedule.pop(0), params.copy()))
+    except FloatingPointError as exc:
+        failure = NumericError("%s in training step %d" % (exc, len(result.losses) + 1))
+        failure.result = result
+        raise failure from None
     except (NumericError, KeyboardInterrupt) as exc:
         exc.result = result
         raise

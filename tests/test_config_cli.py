@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import datetime
+import gc
 import json
 import os
 import random
@@ -32,10 +33,12 @@ from ctxnmt.config import (
 from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
 from ctxnmt.decode import BeamConfig, beam_decode, read_attention_records
 from ctxnmt import cli, model
-from ctxnmt.errors import ConfigError, NumericError
+from ctxnmt.errors import ConfigError, InputError, NumericError
 from ctxnmt.model import HyperParams, Vocabulary, init_params, load_checkpoint, save_checkpoint
 from ctxnmt.rng import substream
 from ctxnmt.subword import BpeConfig, load_bpe_model
+
+from pipelines import tiny_pipeline
 
 DATA = Path(__file__).parent / "data"
 
@@ -783,6 +786,27 @@ class TestInputBoundaries:
         assert capsys.readouterr().err == "interrupted\n"  # and no traceback
         assert (manifest["status"], manifest["error"]) == ("interrupted", "KeyboardInterrupt")
 
+    def test_overflowing_train_is_numeric_error(self, tmp_path, capsys):
+        # at this learning rate the step-2 pre-activations overflow to inf, and tanh saturates them,
+        # so the loss and the gradient stay finite: only numpy's overflow flag shows the failure
+        d = str(tmp_path)
+        assert main(["synth", "--num-docs", "4", "--units-per-doc", "4", "--seed", "3", "--prefix", "s",
+                     "--out", d]) == 0
+        assert main(["prepare", "--source", d + "/s.src", "--target", d + "/s.trg", "--docs", d + "/s.docs",
+                     "--mode", "2+2", "--prefix", "ext", "--out", d]) == 0
+        capsys.readouterr()
+        assert main(["train", "--source", d + "/ext.src", "--target", d + "/ext.trg", "--docs", d + "/ext.docs",
+                     "--learning-rate", "1e30", "--epochs", "2", "--batch-size", "4", "--embed-dim", "4",
+                     "--hidden-dim", "5", "--attention-dim", "3", "--savepoints", "8", "--out", d]) == 4
+        assert capsys.readouterr().err == "numeric failure: overflow encountered in matmul in training step 2\n"
+        rows = (tmp_path / "losses.tsv").read_text().splitlines()
+        assert [row.split("\t")[0] for row in rows[1:]] == ["1"]
+        assert [p.name for p in tmp_path.glob("*.ckpt")] == ["checkpoint-000001.ckpt"]
+        load_checkpoint(tmp_path / "checkpoint-000001.ckpt")
+        manifest = json.loads((tmp_path / "manifest-train.json").read_text())
+        assert (manifest["status"], manifest["counters"]["steps"]) == ("failed", 1)
+        assert manifest["error"] == "overflow encountered in matmul in training step 2"
+
     def test_manifest_records_the_trained_hyperparameters(self, corpus):
         d, _ = corpus
         (d / "run.ini").write_text("[model]\nhidden_dim = 9\nepochs = 3\nembed_dim = 4\n")
@@ -1003,6 +1027,68 @@ class TestRunner:
                      "--report", str(d / "blocker" / "sub" / "score.tsv")]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot write %s: " % (d / "blocker" / "sub"))
         assert (d / "blocker").read_text() == "a file where a directory should be\n"
+
+
+class TestCollectorPause:
+    """main runs each command with the cyclic garbage collector paused and
+    gives the caller back its own setting, whatever the outcome."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-collects", "caller-paused"])
+    def caller(self, request):
+        collecting = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("error, code", [
+        (None, 0), (ConfigError("bad"), 2), (InputError("bad"), 3), (NumericError("bad"), 4),
+        (KeyboardInterrupt(), 130), (RuntimeError("bad"), None),
+    ], ids=["ok", "config", "data", "numeric", "interrupt", "unexpected"])
+    def test_command_runs_paused_and_the_caller_setting_returns(self, tmp_path, monkeypatch, capsys, caller,
+                                                                error, code):
+        seen, generate = [], cli.generate_synthetic_corpus
+
+        def command_body(spec):
+            seen.append(gc.isenabled())
+            if error is not None:
+                raise error
+            return generate(spec)
+
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", command_body)
+        argv = ["synth", "--num-docs", "1", "--out", str(tmp_path)]
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert seen == [False]
+        assert gc.isenabled() is caller
+
+    def test_a_parse_error_gives_the_caller_setting_back(self, capsys, caller):
+        with pytest.raises(SystemExit):
+            main(["synth", "--num-docs", "many"])
+        assert gc.isenabled() is caller
+
+    def test_no_command_leaves_more_cyclic_garbage_on_a_larger_input(self, tmp_path):
+        # What a command leaves in cycles waits for the caller's next collection, so it must not
+        # grow with the input, the epochs or the merges: a long train or translate would hold it all.
+        assert main(["synth", "--num-docs", "1", "--out", str(tmp_path / "warm-up")]) == 0
+        garbage = {}
+        for size, (num_docs, epochs, num_merges) in {"small": (4, 1, 10), "large": (40, 3, 200)}.items():
+            d = str(tmp_path / size)
+            commands = tiny_pipeline(d, num_docs, epochs, num_merges)
+            commands.append(["heatmap", "--attn", d + "/beam.attn.jsonl", "--index", "0"])
+            collecting = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                for argv in commands:
+                    assert main(argv + ["--out", d]) == 0, argv[0]
+                    garbage.setdefault(size, []).append((argv[0], gc.collect()))
+            finally:
+                if collecting:
+                    gc.enable()
+        assert garbage["small"] == garbage["large"]
 
 
 class TestGarbledInputs:
