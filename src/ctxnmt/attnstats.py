@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .decode import AttentionExport
-from .errors import MalformedRecordError
+from .errors import ConfigError
 
 MODEL_ONE_SIDED = "2+1"  # external = context positions before the focus
 MODEL_TWO_SIDED = "2+2"  # external = source positions of other segments
@@ -58,7 +58,7 @@ def partition(export: AttentionExport, model_kind: str) -> list[PartitionedAtten
         internal = trg_segment[:, None] == np.cumsum(src_break)[None, :]
         skipped = trg_break
     else:
-        raise MalformedRecordError("unknown model kind %r" % model_kind)
+        raise ConfigError("unknown model kind %r" % model_kind)
     internal = internal & ~src_break
     external = ~internal & ~src_break
 

@@ -55,15 +55,7 @@ from .decode import (
     read_attention_records,
     write_attention_records,
 )
-from .errors import (
-    ConfigError,
-    CtxnmtError,
-    InputError,
-    MalformedCorpusError,
-    MalformedRecordError,
-    MalformedSegmentationError,
-    NumericError,
-)
+from .errors import ConfigError, CtxnmtError, DataError, NumericError
 from .model import (
     UNK_ID,
     HyperParams,
@@ -118,6 +110,15 @@ def _beside(path) -> Path:
     return path.with_suffix(path.suffix + ".manifest.json")
 
 
+def _input_path(args, config, key, flags=None) -> str:
+    """The input path of flag --`key`, or else of `[paths] key`; neither is a
+    ConfigError naming `flags` (default --`key`) and the key."""
+    path = getattr(args, key) or getattr(config, key + "_path")
+    if not path:
+        raise ConfigError("%s is required (or [paths] %s in --config)" % (flags or "--" + key, key))
+    return path
+
+
 def _read_lines(path) -> list[list[str]]:
     return [line.split() for line in read_text(path).splitlines()]
 
@@ -145,9 +146,7 @@ def cmd_synth(args, config, manifest):
 
 
 def cmd_prepare(args, config, manifest):
-    src = args.source or config.source_path
-    trg = args.target or config.target_path
-    docs = args.docs or config.docs_path
+    src, trg, docs = (_input_path(args, config, key) for key in ("source", "target", "docs"))
     units = read_parallel_corpus(src, trg, docs)
     for p in (src, trg, docs):
         manifest.add_input(p)
@@ -192,14 +191,14 @@ def cmd_bpe_apply(args, config, manifest):
 
 
 def cmd_train(args, config, manifest):
-    src = args.source or config.source_path
-    trg = args.target or config.target_path
-    docs = args.docs or config.docs_path
+    src, trg = _input_path(args, config, "source"), _input_path(args, config, "target")
     if args.meta:
+        docs_or_meta = args.meta
         examples = read_extended_corpus(src, trg, args.meta)
     else:
-        examples = extend_corpus(read_parallel_corpus(src, trg, docs), ContextConfig(0, 0, Marking.BREAK))
-    for p in (src, trg, args.meta or docs):
+        docs_or_meta = _input_path(args, config, "docs", "--meta or --docs")
+        examples = extend_corpus(read_parallel_corpus(src, trg, docs_or_meta), ContextConfig(0, 0, Marking.BREAK))
+    for p in (src, trg, docs_or_meta):
         manifest.add_input(p)
 
     src_vocab = Vocabulary.build((e.source_tokens for e in examples), max_size=_VOCAB_CAP)
@@ -244,7 +243,7 @@ def cmd_translate(args, config, manifest):
     for lineno, tokens in enumerate(src_lines, start=1):
         if not tokens or len(tokens) > limit:
             what = "%d source tokens exceed max_source_len %d" % (len(tokens), limit) if tokens else "empty source"
-            raise MalformedCorpusError(what, path=args.source, line=lineno)
+            raise DataError(what, path=args.source, line=lineno)
 
     meta = read_meta(args.meta, src_lines) if args.meta else [("", i, 0, 0) for i in range(len(src_lines))]
     for p in [args.source, args.meta] + list(args.checkpoint):
@@ -304,7 +303,7 @@ def cmd_score(args, config, manifest):
             raise ConfigError("--docs is required for the extended scoring regime")
         doc_ids = read_doc_ids(args.docs)
         if len(doc_ids) != len(hyp):
-            raise MalformedCorpusError("%d doc ids for %d hypothesis lines" % (len(doc_ids), len(hyp)), path=args.docs)
+            raise DataError("%d doc ids for %d hypothesis lines" % (len(doc_ids), len(hyp)), path=args.docs)
         b, c = metrics.score_extended(hyp, ref, doc_ids, window=args.window, break_token=config.context.break_token)
     else:
         b, c = metrics.bleu(hyp, ref), metrics.chrf(hyp, ref)
@@ -426,7 +425,7 @@ def cmd_heatmap(args, config, manifest):
     matches = [e for e in exports if e.index == args.index]
     if len(matches) != 1:
         where = "appears on %d records of" % len(matches) if matches else "not present in"
-        raise InputError("record index %d %s %s" % (args.index, where, args.attn))
+        raise DataError("record index %d %s %s" % (args.index, where, args.attn))
     export = matches[0]
     out = Path(config.out_dir)
     written = [out / ("heatmap-%04d.tsv" % args.index)]
@@ -555,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 # traceback; the first matching type wins.
 _FAILURES = (
     (ConfigError, 2, "config error"),
-    ((MalformedCorpusError, MalformedSegmentationError, MalformedRecordError, InputError), 3, "data error"),
+    (DataError, 3, "data error"),
     (NumericError, 4, "numeric failure"),
     (CtxnmtError, 1, "error"),
     (KeyboardInterrupt, 130, "interrupted"),

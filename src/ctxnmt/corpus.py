@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MalformedCorpusError
+from .errors import ConfigError, DataError
 
 DEFAULT_CONTEXT_PREFIX = "cc_"
 DEFAULT_BREAK_TOKEN = "_BREAK_"
@@ -50,12 +50,12 @@ class TranslationUnit:
         if " ".join(tokens).split() != list(tokens):
             for tok in tokens:
                 if not tok or any(c.isspace() for c in tok):
-                    raise MalformedCorpusError(
+                    raise DataError(
                         "token %r is empty or contains whitespace (doc %s, unit %d)"
                         % (tok, self.doc_id, self.index_in_doc)
                     )
         if self.index_in_doc < 0:
-            raise MalformedCorpusError(
+            raise DataError(
                 "negative index_in_doc in doc %s" % self.doc_id
             )
 
@@ -124,18 +124,18 @@ def _check_document_order(units: Sequence[TranslationUnit]):
     for pos, unit in enumerate(units):
         if unit.doc_id != prev_doc:
             if unit.doc_id in seen_docs:
-                raise MalformedCorpusError(
+                raise DataError(
                     "doc %s is not contiguous (reappears at unit %d)" % (unit.doc_id, pos)
                 )
             if unit.index_in_doc != 0:
-                raise MalformedCorpusError(
+                raise DataError(
                     "doc %s starts at index_in_doc %d, expected 0" % (unit.doc_id, unit.index_in_doc)
                 )
             seen_docs.add(unit.doc_id)
             prev_doc = unit.doc_id
         else:
             if unit.index_in_doc != units[pos - 1].index_in_doc + 1:
-                raise MalformedCorpusError(
+                raise DataError(
                     "non-consecutive index_in_doc %d after %d in doc %s"
                     % (unit.index_in_doc, units[pos - 1].index_in_doc, unit.doc_id)
                 )
@@ -210,7 +210,7 @@ def extract_focus(example: ExtendedExample, side: str = "source") -> list[str]:
 # .docs (one doc_id per line, aligned 1:1).
 # ---------------------------------------------------------------------------
 
-def read_text(path, error=MalformedCorpusError) -> str:
+def read_text(path, error=DataError) -> str:
     """Contents of a UTF-8 input file.  A file that cannot be read or is not
     valid UTF-8 raises `error` naming the path (and the line of the first
     bad byte)."""
@@ -245,11 +245,11 @@ def open_output(path, mode="w"):
 
 def read_doc_ids(path) -> list[str]:
     """The document id of each line, stripped; a blank line is a
-    MalformedCorpusError naming path:line."""
+    DataError naming path:line."""
     doc_ids = [line.strip() for line in read_text(path).splitlines()]
     for lineno, doc_id in enumerate(doc_ids, start=1):
         if not doc_id:
-            raise MalformedCorpusError("empty doc_id", path=path, line=lineno)
+            raise DataError("empty doc_id", path=path, line=lineno)
     return doc_ids
 
 
@@ -259,7 +259,7 @@ def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]
     trg_lines = read_text(trg_path).splitlines()
     doc_lines = read_doc_ids(docs_path)
     if not (len(src_lines) == len(trg_lines) == len(doc_lines)):
-        raise MalformedCorpusError(
+        raise DataError(
             "line counts differ: %d source, %d target, %d docs"
             % (len(src_lines), len(trg_lines), len(doc_lines)),
             path=src_path,
@@ -280,8 +280,8 @@ def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]
                     index_in_doc=index,
                 )
             )
-        except MalformedCorpusError as exc:
-            raise MalformedCorpusError(str(exc), path=src_path, line=lineno) from exc
+        except DataError as exc:
+            raise DataError(str(exc), path=src_path, line=lineno) from exc
         index += 1
     _check_document_order(units)
     return units
@@ -320,12 +320,12 @@ def read_extended_corpus(src_path, trg_path, meta_path) -> list[ExtendedExample]
     sources = [tuple(line.split()) for line in read_text(src_path).splitlines()]
     targets = [tuple(line.split()) for line in read_text(trg_path).splitlines()]
     if len(targets) != len(sources):
-        raise MalformedCorpusError("%d target lines for %d source lines" % (len(targets), len(sources)), path=trg_path)
+        raise DataError("%d target lines for %d source lines" % (len(targets), len(sources)), path=trg_path)
     rows = read_meta(meta_path, sources)
     examples = []
     for lineno, (src, trg, (doc_id, idx, src_start, trg_start)) in enumerate(zip(sources, targets, rows), start=1):
         if trg_start > len(trg):
-            raise MalformedCorpusError(
+            raise DataError(
                 "target_focus_start %d beyond the %d target tokens" % (trg_start, len(trg)), path=meta_path, line=lineno
             )
         examples.append(ExtendedExample(src, trg, src_start, trg_start, origin=(doc_id, idx)))
@@ -339,20 +339,20 @@ def read_meta(path, sources: Sequence[Sequence[str]]) -> list[tuple[str, int, in
     offset lies within its line."""
     lines = read_text(path).splitlines()
     if len(lines) != len(sources):
-        raise MalformedCorpusError("%d meta rows for %d source lines" % (len(lines), len(sources)), path=path)
+        raise DataError("%d meta rows for %d source lines" % (len(lines), len(sources)), path=path)
     rows = []
     for lineno, (line, tokens) in enumerate(zip(lines, sources), start=1):
         parts = line.split("\t")
         if len(parts) != 4:
-            raise MalformedCorpusError("expected 4 meta columns", path=path, line=lineno)
+            raise DataError("expected 4 meta columns", path=path, line=lineno)
         try:
             numbers = [int(x) for x in parts[1:]]
         except ValueError:
-            raise MalformedCorpusError("non-integer meta field", path=path, line=lineno) from None
+            raise DataError("non-integer meta field", path=path, line=lineno) from None
         if min(numbers) < 0:
-            raise MalformedCorpusError("negative meta field", path=path, line=lineno)
+            raise DataError("negative meta field", path=path, line=lineno)
         if numbers[1] > len(tokens):
-            raise MalformedCorpusError(
+            raise DataError(
                 "source_focus_start %d beyond the %d source tokens" % (numbers[1], len(tokens)), path=path, line=lineno
             )
         rows.append((parts[0], *numbers))

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DEFAULT_BREAK_TOKEN, open_output, read_text
-from .errors import ConfigError, MalformedRecordError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import (
     BOS_ID,
     EOS_ID,
@@ -340,12 +340,12 @@ class AttentionExport:
 
     def validate(self):
         if not 0 <= self.source_focus_start <= len(self.source_tokens):
-            raise MalformedRecordError(
+            raise DataError(
                 "source_focus_start %d out of range for %d source tokens"
                 % (self.source_focus_start, len(self.source_tokens))
             )
         if self.weights.shape != (len(self.target_tokens), len(self.source_tokens)):
-            raise MalformedRecordError("attention matrix shape mismatch in record %d" % self.index)
+            raise DataError("attention matrix shape mismatch in record %d" % self.index)
 
 
 def write_attention_records(path, exports: Sequence[AttentionExport]):
@@ -358,27 +358,27 @@ def write_attention_records(path, exports: Sequence[AttentionExport]):
 
 def read_attention_records(path) -> list[AttentionExport]:
     """Records of a JSONL attention file; any line that is not a complete,
-    consistent record raises MalformedRecordError naming path:line.  Every
+    consistent record raises DataError naming path:line.  Every
     field of AttentionExport is required, because a guessed focus offset or
     break token would partition the attention silently wrong.  Indices and
     offsets are integers >= 0, the doc id a string and the break token one
     whitespace-free token."""
     exports = []
-    for lineno, line in enumerate(read_text(path, MalformedRecordError).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
             missing = [f.name for f in fields(AttentionExport) if f.name not in obj]
             if missing:
-                raise MalformedRecordError("missing field %s" % ", ".join(missing))
+                raise DataError("missing field %s" % ", ".join(missing))
             source_tokens = list(obj["source_tokens"])
             target_tokens = list(obj["target_tokens"])
             if not all(isinstance(tok, str) for tok in source_tokens + target_tokens):
-                raise MalformedRecordError("tokens must be strings")
+                raise DataError("tokens must be strings")
             weights = np.array(obj["weights"], dtype=np.float64).reshape(len(target_tokens), len(source_tokens))
             if not np.isfinite(weights).all():
-                raise MalformedRecordError("non-finite attention weight")
+                raise DataError("non-finite attention weight")
             export = AttentionExport(
                 index=obj["index"],
                 doc_id=obj["doc_id"],
@@ -392,13 +392,13 @@ def read_attention_records(path) -> list[AttentionExport]:
             for name in ("index", "index_in_doc", "source_focus_start"):
                 value = getattr(export, name)
                 if type(value) is not int or value < 0:
-                    raise MalformedRecordError("%s %r is not an integer >= 0" % (name, value))
+                    raise DataError("%s %r is not an integer >= 0" % (name, value))
             if not isinstance(export.doc_id, str):
-                raise MalformedRecordError("doc_id %r is not a string" % (export.doc_id,))
+                raise DataError("doc_id %r is not a string" % (export.doc_id,))
             if not isinstance(export.break_token, str) or export.break_token.split() != [export.break_token]:
-                raise MalformedRecordError("break_token %r is not one whitespace-free token" % (export.break_token,))
+                raise DataError("break_token %r is not one whitespace-free token" % (export.break_token,))
             export.validate()
-        except (ValueError, KeyError, TypeError, MalformedRecordError) as exc:  # ValueError covers JSON errors
-            raise MalformedRecordError("bad attention record at %s:%d: %s" % (path, lineno, exc)) from None
+        except (ValueError, KeyError, TypeError, DataError) as exc:  # ValueError covers JSON errors
+            raise DataError("bad attention record at %s:%d: %s" % (path, lineno, exc)) from None
         exports.append(export)
     return exports

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit.
 
-Each maps to a distinct CLI exit code (see cli.main).
+cli.main reports each class with its own exit code: ConfigError 2,
+DataError 3, NumericError 4, and any other CtxnmtError 1.
 """
 
 
@@ -12,8 +13,11 @@ class ConfigError(CtxnmtError):
     """Invalid or inconsistent run configuration."""
 
 
-class MalformedCorpusError(CtxnmtError):
-    """Corpus data violates the file format or document-order invariants."""
+class DataError(CtxnmtError):
+    """Input data or arguments that break a format or invariant: corpus and
+    meta files, BPE models and segmentations, attention records, id batches
+    and evaluation inputs.  With `path` (and `line`) the message ends in
+    "(path:line)"."""
 
     def __init__(self, message, path=None, line=None):
         if path is not None:
@@ -22,17 +26,6 @@ class MalformedCorpusError(CtxnmtError):
         super().__init__(message)
 
 
-class MalformedSegmentationError(CtxnmtError):
-    """Subword sequence cannot be reverted (e.g. dangling join marker)."""
-
-
-class MalformedRecordError(CtxnmtError):
-    """Attention record inconsistent with its example geometry."""
-
-
 class NumericError(CtxnmtError):
-    """Non-finite loss or gradient encountered during training/decoding."""
-
-
-class InputError(CtxnmtError):
-    """Invalid arguments to an evaluation operation (e.g. length mismatch)."""
+    """Non-finite loss or gradient, or floating-point overflow, in training
+    or decoding."""

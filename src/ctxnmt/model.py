@@ -49,7 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import ExtendedExample, open_output
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .rng import substream
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
@@ -381,12 +381,12 @@ def _id_batch(seqs, vocab_size, max_len, what):
         if ids.ndim != 1:
             raise ValueError
     except ValueError:  # no sequence at all, or one that is not 1-d
-        raise InputError("%s ids must be a non-empty batch of id sequences" % what) from None
+        raise DataError("%s ids must be a non-empty batch of id sequences" % what) from None
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise InputError("%s id out of vocabulary range [0, %d)" % (what, vocab_size))
+        raise DataError("%s id out of vocabulary range [0, %d)" % (what, vocab_size))
     lengths = np.array([len(x) for x in seqs])
     if lengths.max() > max_len:
-        raise InputError("%s length %d exceeds the %d that max_%s_len allows" % (what, lengths.max(), max_len, what))
+        raise DataError("%s length %d exceeds the %d that max_%s_len allows" % (what, lengths.max(), max_len, what))
     batch = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
     batch[np.arange(batch.shape[1]) < lengths[:, None]] = ids
     return batch, lengths
@@ -396,7 +396,7 @@ def _source_batch(params: ModelParams, sources):
     """Padded source ids (B, S) and the mask of real positions."""
     src, lengths = _id_batch(sources, len(params.src_vocab), params.hyper.max_source_len, "source")
     if lengths.min() == 0:
-        raise InputError("cannot encode an empty source")
+        raise DataError("cannot encode an empty source")
     return src, np.arange(src.shape[1]) < lengths[:, None]
 
 
@@ -576,7 +576,7 @@ def _forward(params: ModelParams, sources, targets):
     targets.  The loss is the mean over the batch of each example's mean
     per-token cross-entropy."""
     if len(sources) != len(targets):
-        raise InputError("batch has %d sources but %d targets" % (len(sources), len(targets)))
+        raise DataError("batch has %d sources but %d targets" % (len(sources), len(targets)))
     t = params.tensors
     src_ids, src_mask = _source_batch(params, sources)
     dec_in, predict, trg_mask = _target_batch(params, targets)
@@ -798,10 +798,10 @@ def train(
     if savepoint_schedule < 1:
         raise ConfigError("savepoints must be >= 1, got %d" % savepoint_schedule)
     if not examples:
-        raise InputError("training corpus is empty")
+        raise DataError("training corpus is empty")
     pairs, skipped = _to_id_pairs(params, examples)
     if not pairs:
-        raise InputError("all training examples exceed the configured length caps")
+        raise DataError("all training examples exceed the configured length caps")
 
     steps_per_epoch = (len(pairs) + hp.batch_size - 1) // hp.batch_size
     total_steps = hp.epochs * steps_per_epoch

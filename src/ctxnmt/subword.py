@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import ContextConfig, open_output, read_text
-from .errors import ConfigError, MalformedSegmentationError
+from .errors import ConfigError, DataError
 
 EOW_MARKER = "</w>"
 JOIN_MARKER = "@@"
@@ -310,7 +310,7 @@ def revert_bpe(subwords: Sequence[str]) -> list[str]:
             tokens.append("".join(current))
             current = []
     if current:
-        raise MalformedSegmentationError(
+        raise DataError(
             "dangling join marker at sequence end: %r" % (subwords[-1],)
         )
     return tokens
@@ -347,17 +347,17 @@ def save_bpe_model(model: BpeModel, path):
 
 def load_bpe_model(path) -> BpeModel:
     """A file that does not follow the model format, or names markers other
-    than EOW_MARKER and JOIN_MARKER, raises MalformedSegmentationError."""
-    lines = read_text(path, MalformedSegmentationError).splitlines()
+    than EOW_MARKER and JOIN_MARKER, raises DataError."""
+    lines = read_text(path).splitlines()
     if not lines:
-        raise MalformedSegmentationError("empty model file: %s" % path)
+        raise DataError("empty model file: %s" % path)
     header = lines[0].split("\t")
     if header[0] != _FORMAT_VERSION or len(header) != 5:
-        raise MalformedSegmentationError("unrecognized model header in %s" % path)
+        raise DataError("unrecognized model header in %s" % path)
     try:
         fields = dict(item.split("=", 1) for item in header[1:])
         if (fields["eow"], fields["join"]) != (EOW_MARKER, JOIN_MARKER):
-            raise MalformedSegmentationError(
+            raise DataError(
                 "model file %s has markers eow=%s join=%s; only eow=%s join=%s are supported"
                 % (path, fields["eow"], fields["join"], EOW_MARKER, JOIN_MARKER))
         n_merges, n_vocab = int(fields["merges"]), int(fields["vocab"])
@@ -367,7 +367,7 @@ def load_bpe_model(path) -> BpeModel:
         for lineno, pair in enumerate(merges, start=2):
             # an empty symbol would make threshold splitting split forever
             if len(pair) != 2 or not all(pair):
-                raise MalformedSegmentationError(
+                raise DataError(
                     "malformed model file %s:%d: a merge is two non-empty symbols separated by one space"
                     % (path, lineno))
         vocab = {}
@@ -375,5 +375,5 @@ def load_bpe_model(path) -> BpeModel:
             sw, count = line.rsplit("\t", 1)
             vocab[sw] = int(count)
     except (ValueError, KeyError) as exc:
-        raise MalformedSegmentationError("malformed model file %s: %s" % (path, exc)) from None
+        raise DataError("malformed model file %s: %s" % (path, exc)) from None
     return BpeModel(merges=tuple(merges), subword_vocab=vocab)

@@ -18,7 +18,7 @@ from ctxnmt.attnstats import (
     word_peak_stats,
 )
 from ctxnmt.decode import AttentionExport
-from ctxnmt.errors import MalformedRecordError
+from ctxnmt.errors import ConfigError, DataError
 
 from oracles import (
     oracle_corpus_external_proportion,
@@ -72,12 +72,12 @@ class TestPartitionOneSided:
         assert (part.external_peak, part.internal_peak) == (pytest.approx(0.2), pytest.approx(0.3))
 
     def test_unknown_model_kind(self):
-        with pytest.raises(MalformedRecordError):
+        with pytest.raises(ConfigError):
             partition(export_one_sided([[1.0]], focus_start=0), "3+3")
 
     def test_bad_geometry(self):
         export = export_one_sided([[1.0]], focus_start=5)
-        with pytest.raises(MalformedRecordError):
+        with pytest.raises(DataError):
             partition(export, MODEL_ONE_SIDED)
 
 

@@ -7,6 +7,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxnmt
+from ctxnmt import errors
 from ctxnmt.cli import build_parser, main
 from ctxnmt.config import (
     SECTIONS,
@@ -33,7 +35,7 @@ from ctxnmt.config import (
 from ctxnmt.corpus import ContextConfig, Marking, SynthSpec
 from ctxnmt.decode import BeamConfig, beam_decode, read_attention_records
 from ctxnmt import cli, model
-from ctxnmt.errors import ConfigError, InputError, NumericError
+from ctxnmt.errors import ConfigError, CtxnmtError, DataError, NumericError
 from ctxnmt.model import HyperParams, Vocabulary, init_params, load_checkpoint, save_checkpoint
 from ctxnmt.rng import substream
 from ctxnmt.subword import BpeConfig, load_bpe_model
@@ -41,6 +43,7 @@ from ctxnmt.subword import BpeConfig, load_bpe_model
 from pipelines import tiny_pipeline
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def attention_record(drop=(), **fields) -> bytes:
@@ -407,6 +410,18 @@ class TestCli:
                               docs_path=str(DATA / "mini.docs")), tmp_path / "run.ini")
         assert main(["prepare", "--config", str(tmp_path / "run.ini"), "--mode", "2+2", "--out", str(tmp_path)]) == 3
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    @pytest.mark.parametrize("key", ["source", "target", "docs"])
+    def test_input_given_by_neither_flag_nor_config_is_config_error(self, tmp_path, capsys, command, key):
+        # the inputs that are given do not exist, so reading any of them first would exit 3
+        given = [arg for other in ("source", "target", "docs") if other != key
+                 for arg in ("--" + other, str(tmp_path / "absent"))]
+        assert main([command, *given, "--out", str(tmp_path)]) == 2
+        flags = "--meta or --docs" if (command, key) == ("train", "docs") else "--" + key
+        assert capsys.readouterr().err == "config error: %s is required (or [paths] %s in --config)\n" % (flags, key)
+        manifest = json.loads((tmp_path / ("manifest-%s.json" % command)).read_text())
+        assert (manifest["status"], manifest["input_checksums"]) == ("failed", {})
 
     def test_bpe_protection_follows_configured_context(self, tmp_path):
         (tmp_path / "run.ini").write_text("[context]\nbreak_token = _SEP_\ncontext_prefix = ctx_\n")
@@ -1029,6 +1044,53 @@ class TestRunner:
         assert (d / "blocker").read_text() == "a file where a directory should be\n"
 
 
+def run_cli(cwd, *argv):
+    """One command in a fresh interpreter, run in `cwd`."""
+    src = str(Path(ctxnmt.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ctxnmt.cli", *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestExitCodes:
+    """Each error class has one exit code, the one README documents, and a
+    real process ends with it and without a traceback."""
+
+    def test_each_error_class_has_a_row_of_its_own_with_its_documented_code(self):
+        paragraph = " ".join(README.read_text().split("\n\nExit codes: ", 1)[1].split("\n\n", 1)[0].split())
+        documented = {name: int(code) for code, name in re.findall(r"(\d) [a-z ]+ \(`(\w+)`", paragraph)}
+        documented["CtxnmtError"] = 1  # "any other `CtxnmtError` exits 1"
+        classes = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, CtxnmtError)}
+        rows = [(kind, code) for kind, code, _ in cli._FAILURES if kind is not KeyboardInterrupt]
+        assert all(isinstance(kind, type) for kind, _ in rows)
+        assert sorted(kind.__name__ for kind, _ in rows) == sorted(classes) == sorted(documented)
+        assert {kind.__name__: code for kind, code in rows} == documented
+        assert len({code for _, code in rows}) == len(rows)
+
+    def test_config_error_exits_2(self, tmp_path):
+        run = run_cli(tmp_path, "translate", "--checkpoint", str(DATA / "mini.src"), "--source", str(DATA / "mini.src"))
+        assert run.returncode == 2
+        assert run.stderr == "config error: not a checkpoint file: %s\n" % (DATA / "mini.src")
+
+    def test_data_error_exits_3(self, tmp_path):
+        run = run_cli(tmp_path, "heatmap", "--attn", str(DATA / "mini.src"), "--index", "0")
+        assert run.returncode == 3
+        assert run.stderr.startswith("data error: bad attention record at %s:1: " % (DATA / "mini.src"))
+        assert "Traceback" not in run.stderr
+
+    def test_numeric_failure_exits_4(self, tmp_path):
+        d = str(tmp_path)
+        assert main(["synth", "--num-docs", "4", "--units-per-doc", "4", "--seed", "3", "--prefix", "s",
+                     "--out", d]) == 0
+        assert main(["prepare", "--source", d + "/s.src", "--target", d + "/s.trg", "--docs", d + "/s.docs",
+                     "--mode", "2+2", "--prefix", "ext", "--out", d]) == 0
+        run = run_cli(tmp_path, "train", "--source", "ext.src", "--target", "ext.trg", "--docs", "ext.docs",
+                      "--learning-rate", "1e30", "--epochs", "2", "--batch-size", "4", "--embed-dim", "4",
+                      "--hidden-dim", "5", "--attention-dim", "3", "--savepoints", "2", "--out", ".")
+        assert run.returncode == 4
+        assert run.stderr == "numeric failure: overflow encountered in matmul in training step 2\n"
+
+
 class TestCollectorPause:
     """main runs each command with the cyclic garbage collector paused and
     gives the caller back its own setting, whatever the outcome."""
@@ -1041,7 +1103,7 @@ class TestCollectorPause:
         (gc.enable if collecting else gc.disable)()
 
     @pytest.mark.parametrize("error, code", [
-        (None, 0), (ConfigError("bad"), 2), (InputError("bad"), 3), (NumericError("bad"), 4),
+        (None, 0), (ConfigError("bad"), 2), (DataError("bad"), 3), (NumericError("bad"), 4),
         (KeyboardInterrupt(), 130), (RuntimeError("bad"), None),
     ], ids=["ok", "config", "data", "numeric", "interrupt", "unexpected"])
     def test_command_runs_paused_and_the_caller_setting_returns(self, tmp_path, monkeypatch, capsys, caller,

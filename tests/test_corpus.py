@@ -23,7 +23,7 @@ from ctxnmt.corpus import (
     write_lines,
     write_parallel_corpus,
 )
-from ctxnmt.errors import ConfigError, MalformedCorpusError
+from ctxnmt.errors import ConfigError, DataError
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,7 +127,7 @@ class TestExtendCorpus:
             TranslationUnit(("a",), ("A",), "d", 0),
             TranslationUnit(("b",), ("B",), "d", 2),
         ]
-        with pytest.raises(MalformedCorpusError):
+        with pytest.raises(DataError):
             extend_corpus(units, BREAK_21)
 
     def test_non_contiguous_document_rejected(self):
@@ -136,7 +136,7 @@ class TestExtendCorpus:
             TranslationUnit(("b",), ("B",), "d2", 0),
             TranslationUnit(("c",), ("C",), "d1", 0),
         ]
-        with pytest.raises(MalformedCorpusError):
+        with pytest.raises(DataError):
             extend_corpus(units, BREAK_21)
 
     @settings(max_examples=300, deadline=None)
@@ -148,7 +148,7 @@ class TestExtendCorpus:
         if not bad:
             TranslationUnit(tuple(source), tuple(target), "d", 0)
             return
-        with pytest.raises(MalformedCorpusError) as err:
+        with pytest.raises(DataError) as err:
             TranslationUnit(tuple(source), tuple(target), "d", 0)
         assert repr(bad[0]) in str(err.value)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctxnmt import metrics
 from ctxnmt.cli import main
-from ctxnmt.errors import InputError
+from ctxnmt.errors import DataError
 from ctxnmt.metrics import (
     CATEGORY_FEM_SINGULAR,
     CATEGORY_PLURAL,
@@ -66,7 +66,7 @@ class TestBleu:
         assert bleu(hyps, refs).score == pytest.approx(golden["bleu"], abs=1e-9)
 
     def test_length_mismatch(self):
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             bleu([["a"]], [])
 
 
@@ -366,7 +366,7 @@ class TestChiSquare:
         assert significant
 
     def test_zero_margin(self):
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             chi_square_2x2(0, 0, 5, 5)
 
     def test_row_and_column_exchange_invariance(self):

@@ -12,7 +12,7 @@ import pytest
 from ctxnmt import model
 from ctxnmt.corpus import ContextConfig, Marking, TranslationUnit, extend_corpus
 from ctxnmt.decode import as_ensemble
-from ctxnmt.errors import ConfigError, InputError
+from ctxnmt.errors import ConfigError, DataError
 from ctxnmt.model import (
     BOS_ID,
     EOS_ID,
@@ -109,12 +109,12 @@ class TestEncode:
 
     def test_out_of_vocab_id_rejected(self):
         params, _, _ = tiny_model()
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             encode(params, np.array([10 ** 6]))
 
     def test_length_cap(self):
         params, src_vocab, _ = tiny_model(max_source_len=2)
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             encode(params, src_vocab.encode(["a", "b", "c"]))
 
 
@@ -280,9 +280,9 @@ class TestBatch:
 
     def test_single_arrays_are_not_a_batch(self):
         params, src_vocab, trg_vocab = tiny_model()
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             backward(params, src_vocab.encode(["a", "b"]), trg_vocab.encode(["x", "y"]))
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             backward(params, [src_vocab.encode(["a"])], [])
 
     def test_max_target_len_counts_eos(self):
@@ -290,9 +290,9 @@ class TestBatch:
         params, src_vocab, trg_vocab = tiny_model(max_target_len=3)
         src = src_vocab.encode(["a"])
         backward(params, [src], [trg_vocab.encode(["x", "y"])])
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             backward(params, [src], [trg_vocab.encode(["x", "y", "z"])])
-        with pytest.raises(InputError):
+        with pytest.raises(DataError):
             forward_loss(params, src, trg_vocab.encode(["x", "y", "z"]))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxnmt.errors import ConfigError, MalformedSegmentationError
+from ctxnmt.errors import ConfigError, DataError
 from ctxnmt.subword import (
     BpeModel,
     apply_bpe,
@@ -135,7 +135,7 @@ class TestRevert:
         assert revert_bpe(["look", ",", "Bob", "!"]) == ["look", ",", "Bob", "!"]
 
     def test_dangling_marker(self):
-        with pytest.raises(MalformedSegmentationError):
+        with pytest.raises(DataError):
             revert_bpe(["a@@"])
 
     def test_empty(self):
