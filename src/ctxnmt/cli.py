@@ -461,7 +461,7 @@ def _add_config_flags(p, section, *names):
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="ctxnmt", description=__doc__)
-    parser.add_argument("--version", action="version", version="ctxnmt %s (checkpoint v1, bpe v1)" % __version__)
+    parser.add_argument("--version", action="version", version="ctxnmt %s (checkpoint v2, bpe v1)" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="run configuration file (INI)")

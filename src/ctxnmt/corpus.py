@@ -16,6 +16,7 @@ import contextlib
 import enum
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -141,22 +142,18 @@ def _check_document_order(units: Sequence[TranslationUnit]):
                 )
 
 
-def _extend_side(
-    doc_units: list[tuple[str, ...]],
-    i: int,
-    window: int,
-    config: ContextConfig,
-) -> tuple[list[str], int]:
-    """Build one side of an extended example; returns (tokens, focus_start)."""
-    lo = max(0, i - window)
-    out: list[str] = []
-    for ctx in doc_units[lo:i]:
-        out.extend(mark_context(ctx, config.marking, config.context_prefix))
-        if config.marking is Marking.BREAK:
-            out.append(config.break_token)
-    focus_start = len(out)
-    out.extend(doc_units[i])
-    return out, focus_start
+def window_starts(doc_ids: Sequence[str], n: int) -> list[int]:
+    """Where each segment's window begins: at most `n` segments back and never
+    before its document's first segment, a change of doc id starting a
+    document."""
+    starts = []
+    doc_start = 0
+    prev = None
+    for i, doc_id in enumerate(doc_ids):
+        if doc_id != prev:
+            doc_start, prev = i, doc_id
+        starts.append(max(doc_start, i - n))
+    return starts
 
 
 def extend_corpus(units: Sequence[TranslationUnit], config: ContextConfig) -> list[ExtendedExample]:
@@ -164,32 +161,25 @@ def extend_corpus(units: Sequence[TranslationUnit], config: ContextConfig) -> li
 
     Each document starts without context: the window never reaches across a
     document boundary, so the first unit of a document is emitted unchanged.
-    One ExtendedExample is produced per input unit, in corpus order.
+    Each unit is marked once per side (with its break token after it), and
+    the marked units of a window go in front of the focus.  One
+    ExtendedExample is produced per input unit, in corpus order.
     """
     _check_document_order(units)
-    examples: list[ExtendedExample] = []
-    doc_src: list[tuple[str, ...]] = []
-    doc_trg: list[tuple[str, ...]] = []
-    prev_doc = None
-    for unit in units:
-        if unit.doc_id != prev_doc:
-            doc_src, doc_trg = [], []
-            prev_doc = unit.doc_id
-        doc_src.append(unit.source_tokens)
-        doc_trg.append(unit.target_tokens)
-        i = unit.index_in_doc
-        src, src_start = _extend_side(doc_src, i, config.source_window, config)
-        trg, trg_start = _extend_side(doc_trg, i, config.target_window, config)
-        examples.append(
-            ExtendedExample(
-                source_tokens=tuple(src),
-                target_tokens=tuple(trg),
-                source_focus_start=src_start,
-                target_focus_start=trg_start,
-                origin=(unit.doc_id, unit.index_in_doc),
-            )
-        )
-    return examples
+    doc_ids = [u.doc_id for u in units]
+    marking, prefix = config.marking, config.context_prefix
+    brk = (config.break_token,) if marking is Marking.BREAK else ()
+    contexts = []
+    for window, segments in ((config.source_window, [u.source_tokens for u in units]),
+                             (config.target_window, [u.target_tokens for u in units])):
+        marked = [tuple(mark_context(seg, marking, prefix)) + brk for seg in segments] if window else []
+        # a document's first unit has no context, and one marked unit is its context as it is
+        contexts.append([() if lo == i else marked[lo] if lo == i - 1 else tuple(chain.from_iterable(marked[lo:i]))
+                         for i, lo in enumerate(window_starts(doc_ids, window))])
+    return [
+        ExtendedExample(src + u.source_tokens, trg + u.target_tokens, len(src), len(trg), (u.doc_id, u.index_in_doc))
+        for u, src, trg in zip(units, *contexts)
+    ]
 
 
 def extract_focus(example: ExtendedExample, side: str = "source") -> list[str]:
@@ -265,25 +255,18 @@ def read_parallel_corpus(src_path, trg_path, docs_path) -> list[TranslationUnit]
             path=src_path,
         )
     units: list[TranslationUnit] = []
+    seen_docs = set()
     prev_doc = None
     index = 0
     for lineno, (src, trg, doc_id) in enumerate(zip(src_lines, trg_lines, doc_lines), start=1):
         if doc_id != prev_doc:
+            if doc_id in seen_docs:
+                raise DataError("doc %s is not contiguous" % doc_id, path=docs_path, line=lineno)
+            seen_docs.add(doc_id)
             index = 0
             prev_doc = doc_id
-        try:
-            units.append(
-                TranslationUnit(
-                    source_tokens=tuple(src.split()),
-                    target_tokens=tuple(trg.split()),
-                    doc_id=doc_id,
-                    index_in_doc=index,
-                )
-            )
-        except DataError as exc:
-            raise DataError(str(exc), path=src_path, line=lineno) from exc
+        units.append(TranslationUnit(tuple(src.split()), tuple(trg.split()), doc_id, index))
         index += 1
-    _check_document_order(units)
     return units
 
 

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_BREAK_TOKEN
+from .corpus import DEFAULT_BREAK_TOKEN, window_starts
 from .errors import ConfigError, DataError
 
 TokenSeq = Sequence[str]
@@ -206,8 +206,9 @@ def score_extended(
     """Score sliding-window concatenations of aligned units.
 
     For every unit, up to `window` consecutive units ending at it (never
-    crossing a document boundary) are concatenated on both sides; break
-    tokens are removed before scoring.  A window below 1 is a ConfigError.
+    crossing a document boundary, by corpus.window_starts) are concatenated
+    on both sides; break tokens are removed before scoring.  A window below
+    1 is a ConfigError.
     """
     if window < 1:
         raise ConfigError("window must be >= 1, got %d" % window)
@@ -218,15 +219,9 @@ def score_extended(
         )
     hyp_kept = [[t for t in tokens if t != break_token] for tokens in hyp_units]
     ref_kept = [[t for t in tokens if t != break_token] for tokens in ref_units]
-    hyp_segments = []
-    ref_segments = []
-    doc_start = 0
-    for i in range(len(doc_ids)):
-        if i and doc_ids[i] != doc_ids[i - 1]:
-            doc_start = i
-        lo = max(doc_start, i - window + 1)
-        hyp_segments.append(list(chain.from_iterable(hyp_kept[lo : i + 1])))
-        ref_segments.append(list(chain.from_iterable(ref_kept[lo : i + 1])))
+    starts = list(enumerate(window_starts(doc_ids, window - 1)))
+    hyp_segments = [list(chain.from_iterable(hyp_kept[lo : i + 1])) for i, lo in starts]
+    ref_segments = [list(chain.from_iterable(ref_kept[lo : i + 1])) for i, lo in starts]
     return bleu(hyp_segments, ref_segments), chrf(hyp_segments, ref_segments)
 
 

@@ -39,6 +39,7 @@ double precision.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -840,12 +841,14 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: magic, u32 header length, JSON header, then the flat
-# vector as little-endian float32 (named tensors in _tensor_specs order).
+# Checkpoint container: magic, u32 header length, JSON header, the flat
+# vector as little-endian float32 (named tensors in _tensor_specs order), and
+# from format version 2 on the SHA-256 of all of that as 32 trailing bytes.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CNMT"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def save_checkpoint(params: ModelParams, path):
@@ -858,17 +861,24 @@ def save_checkpoint(params: ModelParams, path):
         "dtype": "float32",
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    head = _MAGIC + struct.pack("<I", len(blob)) + blob
+    payload = params.flat.astype("<f4", copy=False).tobytes()
+    sha = hashlib.sha256(head)
+    sha.update(payload)
     with open_output(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<I", len(blob)) + blob)
-        fh.write(params.flat.astype("<f4", copy=False).tobytes())
+        fh.write(head)
+        fh.write(payload)
+        fh.write(sha.digest())
 
 
 def load_checkpoint(path) -> ModelParams:
-    """A file that is not a complete checkpoint for its own header raises
-    ConfigError; non-finite weights raise NumericError.  The file's size is
-    checked against the header's length before the header is read, and
-    against the header before the weights are read, straight into their
-    float32 vector."""
+    """A file that is not a complete checkpoint for its own header, or whose
+    trailing SHA-256 does not match what precedes it, raises ConfigError;
+    non-finite weights raise NumericError.  The file's size is checked
+    against the header's length before the header is read, and against the
+    header before the weights are read, straight into their float32 vector,
+    which is hashed in place.  A version-1 file has no trailer and is read
+    without the digest check."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(8)
@@ -879,9 +889,11 @@ def load_checkpoint(path) -> ModelParams:
             if 8 + header_len > actual:  # checked before read() allocates the header's length
                 raise ConfigError("malformed checkpoint header in %s: %d bytes long in a file of %d"
                                   % (path, header_len, actual))
+            blob = fh.read(header_len)
             try:
-                header = json.loads(fh.read(header_len).decode("utf-8"))
-                if header["format_version"] != _FORMAT_VERSION:
+                header = json.loads(blob.decode("utf-8"))
+                version = header["format_version"]
+                if version not in (1, _FORMAT_VERSION):
                     raise ConfigError("unsupported checkpoint version in %s" % path)
                 hp = HyperParams(**header["hyperparams"])
                 src_vocab = Vocabulary(header["source_vocab"])
@@ -892,14 +904,22 @@ def load_checkpoint(path) -> ModelParams:
             if specs != _tensor_specs(hp, len(src_vocab), len(trg_vocab)):
                 raise ConfigError("checkpoint tensors missing, mis-shaped or out of order in %s" % path)
             count = sum(math.prod(shape) for _, shape in specs)
-            size = 8 + header_len + 4 * count
+            trailer = _DIGEST_SIZE if version == _FORMAT_VERSION else 0
+            size = 8 + header_len + 4 * count + trailer
             if actual != size:
                 raise ConfigError("checkpoint %s has %d bytes, its header describes %d" % (path, actual, size))
             flat = np.empty(count, "<f4")
             if fh.readinto(flat) != flat.nbytes:
                 raise ConfigError("checkpoint %s was cut short while it was read" % path)
+            digest = fh.read(trailer)
     except OSError as exc:
         raise ConfigError("cannot read checkpoint %s: %s" % (path, exc.strerror or exc)) from None
+    if trailer:
+        sha = hashlib.sha256(head)
+        sha.update(blob)
+        sha.update(flat)
+        if sha.digest() != digest:
+            raise ConfigError("checkpoint %s fails its SHA-256 check" % path)
     params = ModelParams(hp, src_vocab, trg_vocab, flat.astype(np.float32, copy=False))
     params.tensors.check_finite("values")
     return params

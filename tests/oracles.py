@@ -12,10 +12,53 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ctxnmt.corpus import ExtendedExample, Marking, _check_document_order, mark_context
 from ctxnmt.decode import BeamConfig, DecodeResult
 from ctxnmt.errors import NumericError
 from ctxnmt.model import BOS_ID, EOS_ID, PAD_ID, DecoderState, ModelParams, decode_step, encode, init_decoder_state
 from ctxnmt.subword import EOW_MARKER, JOIN_MARKER
+
+
+def _extend_side(doc_units, i, window, config):
+    """Build one side of an extended example; returns (tokens, focus_start)."""
+    lo = max(0, i - window)
+    out = []
+    for ctx in doc_units[lo:i]:
+        out.extend(mark_context(ctx, config.marking, config.context_prefix))
+        if config.marking is Marking.BREAK:
+            out.append(config.break_token)
+    focus_start = len(out)
+    out.extend(doc_units[i])
+    return out, focus_start
+
+
+def oracle_extend_corpus(units, config):
+    """Reference for corpus.extend_corpus: each unit's window rebuilt from
+    its document's units, one unit at a time."""
+    _check_document_order(units)
+    examples = []
+    doc_src = []
+    doc_trg = []
+    prev_doc = None
+    for unit in units:
+        if unit.doc_id != prev_doc:
+            doc_src, doc_trg = [], []
+            prev_doc = unit.doc_id
+        doc_src.append(unit.source_tokens)
+        doc_trg.append(unit.target_tokens)
+        i = unit.index_in_doc
+        src, src_start = _extend_side(doc_src, i, config.source_window, config)
+        trg, trg_start = _extend_side(doc_trg, i, config.target_window, config)
+        examples.append(
+            ExtendedExample(
+                source_tokens=tuple(src),
+                target_tokens=tuple(trg),
+                source_focus_start=src_start,
+                target_focus_start=trg_start,
+                origin=(unit.doc_id, unit.index_in_doc),
+            )
+        )
+    return examples
 
 
 def _ngrams_list(seq, n):

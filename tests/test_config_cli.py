@@ -187,6 +187,13 @@ class TestCli:
         assert (tmp_path / "fig1.src").read_bytes() == (DATA / "golden_prefix.src").read_bytes()
         assert (tmp_path / "fig1.trg").read_bytes() == (DATA / "golden_prefix.trg").read_bytes()
 
+    def test_prepare_names_the_docs_line_where_a_document_reappears(self, tmp_path, capsys):
+        for ext, text in ((".src", "a\nb\nc\n"), (".trg", "x\ny\nz\n"), (".docs", "d1\nd2\nd1\n")):
+            (tmp_path / ("in" + ext)).write_text(text)
+        assert main(["prepare", "--source", str(tmp_path / "in.src"), "--target", str(tmp_path / "in.trg"),
+                     "--docs", str(tmp_path / "in.docs"), "--mode", "2+2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "data error: doc d1 is not contiguous (%s:3)\n" % (tmp_path / "in.docs")
+
     def test_synth_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             code = main(["synth", "--out", str(tmp_path / sub), "--num-docs", "7",
@@ -254,6 +261,21 @@ class TestCli:
             models.append(model.read_bytes())
         assert len(load_bpe_model(tmp_path / "codes-1.bpe").merges) > 100
         assert models[0] == models[1]
+
+    def test_a_pass_is_byte_identical_across_hash_seeds(self, tmp_path):
+        # criterion 10 runs both of its passes in one process, so it cannot see string hashing
+        script = ("import sys\nfrom ctxnmt.cli import main\nfrom pipelines import tiny_pipeline\n"
+                  "for argv in tiny_pipeline(sys.argv[1]):\n    assert main(argv + ['--out', sys.argv[1]]) == 0, argv\n")
+        path = [str(Path(ctxnmt.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, path)))
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / hash_seed)], env=env, check=True,
+                           capture_output=True, timeout=300)
+        artifacts = [sorted(p.relative_to(tmp_path / seed) for p in (tmp_path / seed).rglob("*")
+                            if p.is_file() and "manifest" not in p.name) for seed in ("1", "2")]
+        assert artifacts[0] == artifacts[1] and len(artifacts[0]) >= 20
+        for rel in artifacts[0]:
+            assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
 
     def test_score_window_below_one_is_config_error(self, tmp_path):
         argv = ["score", "--hyp", str(DATA / "mini.trg"), "--ref", str(DATA / "mini.trg"),
@@ -679,11 +701,11 @@ class TestInputBoundaries:
         raw = (d / "model.ckpt").read_bytes()
         size = int.from_bytes(raw[4:8], "little")
         header = json.loads(raw[8 : 8 + size])
-        header["format_version"] = 2
+        header["format_version"] = 3
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        (d / "v2.ckpt").write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + size :])
-        assert self.translate(d, d / "v2.ckpt") == 2
-        assert "unsupported checkpoint version in %s" % (d / "v2.ckpt") in capsys.readouterr().err
+        (d / "v3.ckpt").write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + size :])
+        assert self.translate(d, d / "v3.ckpt") == 2
+        assert "unsupported checkpoint version in %s" % (d / "v3.ckpt") in capsys.readouterr().err
 
     def test_nan_checkpoint_is_numeric_error(self, corpus):
         d, params = corpus
@@ -1204,7 +1226,8 @@ class TestGarbledInputs:
             tmp = Path(tmp)
             (tmp / "garbled").write_bytes(bytes(raw))
             argv = [str(a) for a in self.argv(valid, fmt, tmp / "garbled", tmp / "out")]
-            assert main(argv) in (0, 2, 3, 4)
+            # a checkpoint checks its own digest, so no damage to one decodes
+            assert main(argv) in ((2,) if fmt == "checkpoint" else (0, 2, 3, 4))
 
     def test_checkpoint_header_length_past_the_file_is_a_config_error(self, valid, tmp_path, capsys):
         # the length field is checked against the file's size before a header of that length is read

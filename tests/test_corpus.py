@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxnmt.corpus import (
+    DEFAULT_BREAK_TOKEN,
+    DEFAULT_CONTEXT_PREFIX,
     DEFAULT_LEXICON,
     DEFAULT_PRONOUN_MAP,
     ContextConfig,
@@ -20,10 +22,13 @@ from ctxnmt.corpus import (
     make_unit,
     mark_context,
     read_parallel_corpus,
+    window_starts,
     write_lines,
     write_parallel_corpus,
 )
 from ctxnmt.errors import ConfigError, DataError
+
+from oracles import oracle_extend_corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -230,6 +235,40 @@ def test_focus_round_trip_and_counts(units, config):
         if unit.index_in_doc == 0:
             assert example.source_tokens == unit.source_tokens
             assert example.target_tokens == unit.target_tokens
+
+
+@st.composite
+def documents(draw):
+    """Several documents of units whose segments may be empty."""
+    segment = st.lists(st.sampled_from(["a", "b", "c.", "\u00e9"]), max_size=3).map(tuple)
+    return [
+        TranslationUnit(draw(segment), draw(segment), "d%d" % d, i)
+        for d in range(draw(st.integers(2, 4)))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+
+
+window_st = st.integers(0, 3)
+marking_st = st.one_of(
+    st.builds(ContextConfig, source_window=window_st, marking=st.just(Marking.PREFIX),
+              context_prefix=st.sampled_from([DEFAULT_CONTEXT_PREFIX, "ctx@"])),
+    st.builds(ContextConfig, source_window=window_st, target_window=window_st, marking=st.just(Marking.BREAK),
+              break_token=st.sampled_from([DEFAULT_BREAK_TOKEN, "<brk>"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(units=documents(), config=marking_st)
+def test_one_pass_extension_matches_per_unit_oracle(units, config):
+    assert extend_corpus(units, config) == oracle_extend_corpus(units, config)
+
+
+def test_window_starts_reset_at_every_change_of_doc_id():
+    # a doc id that reappears starts a new document here; extend_corpus rejects it before this
+    doc_ids = ["a", "a", "a", "b", "a", "a"]
+    assert window_starts(doc_ids, 0) == [0, 1, 2, 3, 4, 5]
+    assert window_starts(doc_ids, 1) == [0, 0, 1, 3, 4, 4]
+    assert window_starts(doc_ids, 2) == [0, 0, 0, 3, 4, 4]
 
 
 @settings(max_examples=50)

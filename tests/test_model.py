@@ -1,6 +1,7 @@
 """Encoder-decoder unit tests: shapes, hand-checked values, gradients,
 training determinism, checkpoint format."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -538,21 +539,58 @@ class TestCheckpointFile:
         save_checkpoint(params.copy(), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_load_peaks_at_its_vector_and_header(self):
-        # the weights are read straight into their float32 vector: no copy of the file's bytes;
-        # beside the vector and the parsed header the peak holds check_finite's isfinite mask
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "checkpoint-000100.ckpt"
-        header_len = int.from_bytes(path.read_bytes()[4:8], "little")
-        load_checkpoint(path)  # warm the import-time caches outside the measurement
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            params = load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert params.flat.dtype == np.float32 and params.flat.nbytes == 4 * 31968
-        assert peak - start <= params.flat.nbytes + params.flat.size + header_len + 32 * 1024
+    def test_load_peaks_at_its_vector_and_header(self, tmp_path):
+        # the weights are read straight into their float32 vector and hashed there: no copy of the
+        # file's bytes; beside the vector and the parsed header the peak holds check_finite's isfinite mask
+        v1 = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "checkpoint-000100.ckpt"
+        save_checkpoint(load_checkpoint(v1), tmp_path / "v2.ckpt")
+        for path in (v1, tmp_path / "v2.ckpt"):
+            header_len = int.from_bytes(path.read_bytes()[4:8], "little")
+            load_checkpoint(path)  # warm the import-time caches outside the measurement
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                params = load_checkpoint(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert params.flat.dtype == np.float32 and params.flat.nbytes == 4 * 31968
+            assert peak - start <= params.flat.nbytes + params.flat.size + header_len + 32 * 1024
+
+    def test_trailer_is_the_sha256_of_everything_before_it(self, tmp_path):
+        params, _, _ = tiny_model(seed=9)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        raw = (tmp_path / "model.ckpt").read_bytes()
+        header = json.loads(raw[8 : 8 + int.from_bytes(raw[4:8], "little")])
+        assert header["format_version"] == 2
+        assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+
+    def test_every_one_bit_flip_is_a_config_error(self, tmp_path):
+        # a flip in the payload or the trailer fails the digest; one elsewhere fails the header checks
+        params, _, _ = tiny_model(seed=9, embed_dim=2, hidden_dim=2, attention_dim=2)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        raw = (tmp_path / "model.ckpt").read_bytes()
+        path = tmp_path / "flipped.ckpt"
+        for pos in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << (pos % 8)
+            path.write_bytes(flipped)
+            with pytest.raises(ConfigError):
+                load_checkpoint(path)
+
+    def test_version_one_file_loads_without_a_trailer(self, tmp_path):
+        params, _, _ = tiny_model(seed=9)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        raw = (tmp_path / "model.ckpt").read_bytes()
+        size = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + size])
+        header["format_version"] = 1
+        blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        (tmp_path / "v1.ckpt").write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[8 + size : -32])
+        assert np.array_equal(load_checkpoint(tmp_path / "v1.ckpt").flat, params.flat)
+        (tmp_path / "v1.ckpt").write_bytes((tmp_path / "v1.ckpt").read_bytes() + raw[-32:])
+        with pytest.raises(ConfigError, match="header describes"):
+            load_checkpoint(tmp_path / "v1.ckpt")
 
     def test_size_is_checked_before_the_vector_is_allocated(self, tmp_path):
         # a consistent header that describes about 61 GB of weights, in a file of a few hundred bytes
